@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines, global_planner
 from .geometry import Config, unit
 from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
-from .params import BaselineParams
+from .params import BaselineParams, params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
 from .world import CollisionOracle, Scene, load_scene
@@ -238,13 +238,61 @@ def write_csv(records: list[TrialRecord], path) -> None:
             w.writerow(row)
 
 
+_GRID_KEYS = ("scenes", "planners", "seeds", "max_samples", "params", "svg", "endpoints")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_point(x) -> bool:
+    return (isinstance(x, list) and len(x) > 0
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
+
+
 def load_grid_config(path) -> dict:
+    """Read and type-check a grid config.  The result has every key: seeds
+    expanded to a list of ints, params built into SprintParams, and the
+    documented defaults for omitted optional keys.  Any malformed field
+    raises ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError("grid config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_GRID_KEYS))
+    if unknown:
+        raise ValueError(f"grid config has unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(_GRID_KEYS)}")
     for key in ("scenes", "planners"):
         if key not in cfg or not cfg[key]:
             raise ValueError(f"grid config missing {key!r}")
-    return cfg
+        if not isinstance(cfg[key], list) or not all(isinstance(x, str) for x in cfg[key]):
+            raise ValueError(f"grid config {key!r} must be a list of strings")
+
+    seeds = cfg.get("seeds", {"start": 0, "count": 10})
+    if isinstance(seeds, dict) and set(seeds) <= {"start", "count"}:
+        start, count = seeds.get("start", 0), seeds.get("count")
+        if _is_int(start) and _is_int(count) and start >= 0 and count >= 0:
+            seeds = list(range(start, start + count))
+    if not (isinstance(seeds, list) and all(_is_int(s) and s >= 0 for s in seeds)):
+        raise ValueError('grid config "seeds" must be {"start": int, "count": int} '
+                         'or a list of non-negative ints')
+
+    max_samples = cfg.get("max_samples", 50_000)
+    if not _is_int(max_samples) or max_samples <= 0:
+        raise ValueError('grid config "max_samples" must be a positive integer')
+    svg = cfg.get("svg", False)
+    if not isinstance(svg, bool):
+        raise ValueError('grid config "svg" must be true or false')
+    endpoints = cfg.get("endpoints", {})
+    if not (isinstance(endpoints, dict)
+            and all(isinstance(v, list) and len(v) == 2 and all(map(_is_point, v))
+                    for v in endpoints.values())):
+        raise ValueError('grid config "endpoints" must map scene names to '
+                         '[start, goal] coordinate lists')
+    return {"scenes": cfg["scenes"], "planners": cfg["planners"], "seeds": seeds,
+            "max_samples": max_samples, "params": params_from_json(cfg.get("params", {})),
+            "svg": svg, "endpoints": endpoints}
 
 
 def run_grid(config_path, out_dir) -> list[TrialRecord]:
@@ -254,31 +302,26 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds_cfg = cfg.get("seeds", {"start": 0, "count": 10})
-    if isinstance(seeds_cfg, dict):
-        seeds = list(range(seeds_cfg.get("start", 0),
-                           seeds_cfg.get("start", 0) + seeds_cfg["count"]))
-    else:
-        seeds = [int(s) for s in seeds_cfg]
-    max_samples = int(cfg.get("max_samples", 50_000))
-    params = SprintParams(**cfg.get("params", {}))
-    want_svg = bool(cfg.get("svg", False))
+    seeds = cfg["seeds"]
+    max_samples = cfg["max_samples"]
+    params = cfg["params"]
+    want_svg = cfg["svg"]
 
     # validate everything before any trial runs
     scenes = {}
     for ident in cfg["scenes"]:
-        scenes[ident] = resolve_scene(ident)
+        scene = resolve_scene(ident)
+        if ident in cfg["endpoints"]:
+            start, goal = (np.array(q, dtype=float) for q in cfg["endpoints"][ident])
+        else:
+            start, goal = fixture_endpoints(ident)
+        scenes[ident] = (scene, start, goal)
     for planner in cfg["planners"]:
         _parse_planner(planner)
 
     records = []
     for planner in cfg["planners"]:
-        for ident, scene in scenes.items():
-            if "endpoints" in cfg and ident in cfg["endpoints"]:
-                start = np.array(cfg["endpoints"][ident][0], dtype=float)
-                goal = np.array(cfg["endpoints"][ident][1], dtype=float)
-            else:
-                start, goal = fixture_endpoints(ident)
+        for ident, (scene, start, goal) in scenes.items():
             for seed in seeds:
                 rec, result, oracle = run_trial(planner, scene, start, goal, seed,
                                                 params, max_samples, scene_label=ident)

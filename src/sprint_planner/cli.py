@@ -11,7 +11,7 @@ import numpy as np
 
 from .bench import (AblationMode, PLANNER_IDS, delta_useful_ratio, resolve_scene,
                     run_grid, run_trial)
-from .global_planner import SprintParams
+from .params import SprintParams, params_from_json
 from .scenes import FIXTURE_NAMES, fixture_endpoints
 
 
@@ -19,7 +19,7 @@ def _load_params(path: str | None) -> SprintParams:
     if path is None:
         return SprintParams()
     with open(path, "r", encoding="utf-8") as f:
-        return SprintParams(**json.load(f))
+        return params_from_json(json.load(f))
 
 
 def _parse_point(text: str) -> np.ndarray:

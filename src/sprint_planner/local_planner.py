@@ -10,13 +10,13 @@ gradient-steered edge extension.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Config, Region, dist, hvs, proj, proj_scalar, unit
+from .geometry import Config, dist, unit
 from .params import SprintParams
 from .world import CollisionOracle
 
@@ -50,15 +50,33 @@ class CheckpointRecord:
 
     samples_since_exploit / samples_since_explore count collision-check
     samples since the subtree last improved its best distance-to-goal /
-    max distance-from-root.
+    max distance-from-root.  The newest k_obs collision points live in the
+    ring obs_ring, a (k_obs, d) array; obs_pushed counts every point ever
+    pushed, so slot obs_pushed % k_obs is the next one overwritten.
     """
 
     best_goal_dist: float
     max_root_dist: float
+    obs_ring: np.ndarray
     samples_since_exploit: int = 0
     samples_since_explore: int = 0
     subtree_node_count: int = 1
-    obs_points: deque = field(default_factory=deque)
+    obs_pushed: int = 0
+
+    def push_obs(self, q_obs: Config) -> None:
+        ring = self.obs_ring
+        ring[self.obs_pushed % ring.shape[0]] = q_obs
+        self.obs_pushed += 1
+
+    @property
+    def obs_points(self) -> np.ndarray:
+        """The stored collision points, oldest first, as a fresh (k, d) array."""
+        ring = self.obs_ring
+        k = ring.shape[0]
+        if self.obs_pushed <= k:
+            return ring[:self.obs_pushed].copy()
+        i = self.obs_pushed % k
+        return np.concatenate((ring[i:], ring[:i]))
 
 
 @dataclass
@@ -77,13 +95,18 @@ class LocalTree:
         self.params = params
         self.nodes: list[LocalNode] = []
         self.records: dict[int, CheckpointRecord] = {}
+        # valid_node's memo for these params, held to skip the cache lookup
+        self.stall_cutoffs = _stall_cutoffs(params.kappa, params.c_base,
+                                            params.sigma_slack, params.n_scale)
         n = LocalNode(id=0, config=root, parent=None, is_checkpoint=True,
                       d_goal=dist(root, goal), d_root=0.0, cp_chain=(0,))
         self.nodes.append(n)
         self.records[0] = CheckpointRecord(
-            best_goal_dist=n.d_goal, max_root_dist=0.0,
-            obs_points=deque(maxlen=params.k_obs),
+            best_goal_dist=n.d_goal, max_root_dist=0.0, obs_ring=self.new_obs_ring(),
         )
+
+    def new_obs_ring(self) -> np.ndarray:
+        return np.empty((self.params.k_obs, self.root.shape[0]))
 
     def add_node(self, config: Config, parent: int) -> int:
         nid = len(self.nodes)
@@ -129,26 +152,74 @@ def subtree_sigma(n: int, params: SprintParams) -> float:
     return params.c_base * (1.0 + params.sigma_slack * math.exp(-n / params.n_scale))
 
 
+# Stall counts grow by one per sample, so no run reaches a cutoff this large.
+_UNREACHABLE_STALL = 2 ** 52
+
+
+def _stall_cutoff(n: int, params: SprintParams) -> float:
+    """Smallest integer stall count x whose gate probability
+    exp(-x^2 / 2c^2), c = subtree_sigma(n), falls below kappa; the gate
+    passes a checkpoint exactly when its stall count is below this value.
+
+    The estimate c * sqrt(-2 ln kappa) is corrected by evaluating the gate
+    formula itself at neighbouring integers, so the float decision matches
+    the formula's own rounding.  inf when the formula never rejects (a
+    non-finite 2c^2) or only beyond any reachable stall count.
+    """
+    c = subtree_sigma(n, params)
+    kappa = params.kappa
+    two_c2 = 2.0 * c * c
+    if not math.isfinite(two_c2):
+        return math.inf
+    estimate = c * math.sqrt(-2.0 * math.log(kappa))
+    if estimate >= _UNREACHABLE_STALL:
+        return math.inf
+    x = math.floor(estimate)
+    while x > 0 and math.exp(-((x - 1) * (x - 1)) / two_c2) < kappa:
+        x -= 1
+    while not math.exp(-(x * x) / two_c2) < kappa:
+        x += 1
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _stall_cutoffs(kappa: float, c_base: float, sigma_slack: float,
+                   n_scale: float) -> dict[int, float]:
+    """Memo of _stall_cutoff by subtree size for one gate setting, filled
+    on first use.  The entries depend only on the key, so sharing one memo
+    between trees is safe; the LRU bound caps memory when every trial draws
+    new parameters (the random-params ablation)."""
+    return {}
+
+
 def valid_node(node_id: int, tree: LocalTree, params: SprintParams) -> bool:
     """Gate a node for extension: every checkpoint on its root path must show
-    recent exploitation or exploration progress."""
+    recent exploitation or exploration progress, i.e. a gate probability
+    exp(-x^2 / 2c^2) >= kappa for its stall count x."""
+    if params is tree.params:
+        cutoffs = tree.stall_cutoffs
+    else:
+        cutoffs = _stall_cutoffs(params.kappa, params.c_base, params.sigma_slack,
+                                 params.n_scale)
     records = tree.records
     for cp in tree.nodes[node_id].cp_chain:
         rec = records[cp]
-        x = min(rec.samples_since_exploit, rec.samples_since_explore)
-        c = subtree_sigma(rec.subtree_node_count, params)
-        g = math.exp(-(x * x) / (2.0 * c * c))
-        if g < params.kappa:
+        n = rec.subtree_node_count
+        cutoff = cutoffs.get(n)
+        if cutoff is None:
+            cutoff = cutoffs[n] = _stall_cutoff(n, params)
+        if min(rec.samples_since_exploit, rec.samples_since_explore) >= cutoff:
             return False
     return True
 
 
-def collision_points(node_id: int, tree: LocalTree) -> list[Config]:
-    """Collision points stored at the nearest ancestor checkpoint of node_id."""
+def collision_points(node_id: int, tree: LocalTree) -> np.ndarray:
+    """Collision points stored at the nearest ancestor checkpoint of node_id,
+    oldest first, as a (k, d) array."""
     chain = tree.nodes[node_id].cp_chain
     if not chain:
         raise AssertionError("root must be a checkpoint")
-    return list(tree.records[chain[-1]].obs_points)
+    return tree.records[chain[-1]].obs_points
 
 
 def backprop_progress(tree: LocalTree, new_node_id: int) -> None:
@@ -178,7 +249,7 @@ def backprop_collision(tree: LocalTree, node_id: int, q_obs: Config) -> None:
     node_id -> root; a collision is a sample without progress."""
     for cp in tree.nodes[node_id].cp_chain:
         rec = tree.records[cp]
-        rec.obs_points.append(q_obs.copy())
+        rec.push_obs(q_obs)
         rec.samples_since_exploit += 1
         rec.samples_since_explore += 1
 
@@ -201,7 +272,7 @@ def promote_checkpoint(tree: LocalTree, node_id: int) -> None:
         best_goal_dist=min(nodes[i].d_goal for i in ids),
         max_root_dist=max(nodes[i].d_root for i in ids),
         subtree_node_count=len(ids),
-        obs_points=deque(maxlen=tree.params.k_obs),
+        obs_ring=tree.new_obs_ring(),
     )
 
 
@@ -217,36 +288,46 @@ def grad_g2(q_c: Config, q_goal: Config, lam: float) -> Config:
     if n == 0.0:
         return np.zeros_like(q_c)
     psi2 = math.exp(-(n * n) / (4.0 * lam * lam)) + 1.0
-    return psi2 * (diff / n)
+    return (psi2 / n) * diff
 
 
-def grad_g3(q_x: Config, q_c: Config, obs: list[Config], lam: float,
+def grad_g3(q_x: Config, q_c: Config, obs, lam: float,
             rng: np.random.Generator) -> Config:
     """Mean repulsion away from nearby observed collision points.
 
-    Points projecting behind q_x are gated out; a point landing exactly on
-    the segment pushes in a random unit direction.
+    obs holds k collision points as a (k, d) array or a sequence of
+    configurations.  Points projecting behind q_x are gated out; a point
+    landing exactly on the line through q_x and q_c pushes in a random unit
+    direction, one rng draw per such point in the order of obs.
     """
-    if not obs:
+    obs = np.asarray(obs, dtype=np.float64)
+    k = len(obs)
+    if k == 0:
         raise ValueError("grad_g3 requires at least one collision point")
-    region = Region(q_x, q_c)
-    total = np.zeros_like(q_c)
-    for q_obs in obs:
-        s = proj_scalar(q_obs, region)
-        gate = hvs(s)
-        if gate == 0.0:
+    dv = q_c - q_x
+    denom = float(dv.dot(dv))
+    if denom == 0.0:
+        raise ValueError("degenerate region: endpoints coincide")
+    rel = obs - q_x
+    s = rel.dot(dv) / denom
+    # each point's offset to its projection q_x + s*dv, formed explicitly:
+    # |rel|^2 - (rel.dv)^2/denom cancels for points near the line
+    res = s[:, None] * dv - rel
+    sep2 = np.einsum("ij,ij->i", res, res)
+    four_lam2 = 4.0 * lam * lam
+    weights = [0.0] * k
+    for i, (t, n2) in enumerate(zip(s.tolist(), sep2.tolist())):
+        if t < 0.0:
             continue
-        p = proj(q_obs, region)
-        diff = p - q_obs
-        n = math.sqrt(diff.dot(diff))
-        psi32 = 5.0 * math.exp(-(n * n) / (4.0 * lam * lam))
+        n = math.sqrt(n2)
+        psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
         if n == 0.0:
-            direction = rng.normal(size=q_c.shape[0])
-            direction /= np.linalg.norm(direction)
+            direction = rng.normal(size=dv.shape[0])
+            res[i] = direction / np.linalg.norm(direction)
+            weights[i] = psi32 / k
         else:
-            direction = diff / n
-        total += psi32 * direction
-    return total / len(obs)
+            weights[i] = psi32 / (n * k)
+    return np.dot(weights, res)
 
 
 def _virtual_root_predecessor(tree: LocalTree) -> Config:
@@ -255,10 +336,11 @@ def _virtual_root_predecessor(tree: LocalTree) -> Config:
     return tree.root - tree.params.lam * unit(tree.goal - tree.root)
 
 
-def local_edge(node_id: int, tree: LocalTree, obs: list[Config],
-               params: SprintParams, rng: np.random.Generator) -> Config:
+def local_edge(node_id: int, tree: LocalTree, obs, params: SprintParams,
+               rng: np.random.Generator) -> Config:
     """Gradient-ascent steered candidate for the next edge endpoint; the
-    returned candidate always sits at distance lam from the extend node."""
+    returned candidate always sits at distance lam from the extend node.
+    obs is the extend node's collision points, as grad_g3 takes them."""
     lam = params.lam
     node = tree.nodes[node_id]
     q_x = node.config
@@ -266,21 +348,26 @@ def local_edge(node_id: int, tree: LocalTree, obs: list[Config],
         q_p = _virtual_root_predecessor(tree)
     else:
         q_p = tree.nodes[node.parent].config
-    q_c = q_x + (q_x - q_p)
-    if obs:
-        q_c = q_c + rng.uniform(-lam / 100.0, lam / 100.0, size=q_x.shape[0])
+    # the candidate is tracked as its offset from q_x, which each ascent
+    # step moves by eta * gradient and then rescales to length lam
+    step = q_x - q_p
+    repel = len(obs) > 0
+    if repel:
+        step = step + rng.uniform(-lam / 100.0, lam / 100.0, size=q_x.shape[0])
+    q_c = q_x + step
     g1 = grad_g1(q_x, q_p)
     eta = params.eta_eff
+    pull = (eta * params.w1_l) * g1
+    eta_w2, eta_w3, goal = eta * params.w2_l, eta * params.w3_l, tree.goal
     for _ in range(params.ascent_iters):
-        g = params.w1_l * g1 + params.w2_l * grad_g2(q_c, tree.goal, lam)
-        if obs:
-            g = g + params.w3_l * grad_g3(q_x, q_c, obs, lam, rng)
-        q_c = q_c + eta * g
-        step = q_c - q_x
+        step = step + pull + eta_w2 * grad_g2(q_c, goal, lam)
+        if repel:
+            step = step + eta_w3 * grad_g3(q_x, q_c, obs, lam, rng)
         n = math.sqrt(step.dot(step))
         if n == 0.0:
             step, n = g1, 1.0
-        q_c = q_x + lam * (step / n)
+        step = (lam / n) * step
+        q_c = q_x + step
     return q_c
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,33 @@ class SprintParams:
 
     def with_overrides(self, **kwargs) -> "SprintParams":
         return replace(self, **kwargs)
+
+
+def params_from_json(obj) -> SprintParams:
+    """SprintParams from a parsed JSON object of field overrides.
+
+    Raises ValueError for a non-object, an unknown field, or a value of the
+    wrong type (int fields take integers, float fields any finite number,
+    eta and eps_prog also null), so bad config files give a one-line error.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
+    types = {f.name: f.type for f in fields(SprintParams)}
+    for key, value in obj.items():
+        if key not in types:
+            raise ValueError(f"unknown params field {key!r}; known: {', '.join(types)}")
+        kind = types[key]
+        if value is None:
+            ok = kind.endswith("| None")
+        elif isinstance(value, bool):
+            ok = False
+        elif isinstance(value, int):
+            ok = True
+        else:
+            ok = kind != "int" and isinstance(value, float) and math.isfinite(value)
+        if not ok:
+            raise ValueError(f"params field {key!r} must be {kind}, got {value!r}")
+    return SprintParams(**obj)
 
 
 @dataclass(frozen=True)

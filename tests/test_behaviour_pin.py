@@ -1,0 +1,32 @@
+"""Fixed-seed SPRINT outcomes on the high-dimensional fixtures.
+
+A change to the local or global layer that is meant to keep behaviour must
+keep these (status, total_samples) pairs; they catch trajectory drift in
+seconds, without the acceptance grids.
+"""
+
+import pytest
+
+from sprint_planner.bench import run_trial
+from sprint_planner.params import SprintParams
+from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
+
+PINNED = {
+    "narrow_passage_6d": [("Solved", 4306), ("Solved", 4252), ("Solved", 3925),
+                          ("Solved", 4924), ("Solved", 169)],
+    "box_maze_10d": [("Solved", 5068), ("Solved", 5873), ("Solved", 4564),
+                     ("Solved", 5424), ("Solved", 4930)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sprint_outcomes_are_pinned(name):
+    scene = fixture_scene(name)
+    start, goal = fixture_endpoints(name)
+    params = SprintParams(lam=fixture_lam(name))
+    got = []
+    for seed in range(5):
+        rec = run_trial("sprint", scene, start, goal, seed, params, 50_000,
+                        record_samples=False)[0]
+        got.append((rec.status, rec.total_samples))
+    assert got == PINNED[name]

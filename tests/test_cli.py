@@ -60,6 +60,29 @@ class TestPlanCommand:
         with pytest.raises(SystemExit):
             main(["plan", "--scene", "empty_2d", "--planner", "astar"])
 
+    @pytest.mark.parametrize("params, needle", [
+        ({"lam": 0.1, "lamda": 0.2}, "lamda"),
+        ({"lam": "fast"}, "lam"),
+        ({"k_obs": 2.5}, "k_obs"),
+        ({"ascent_iters": True}, "ascent_iters"),
+        ({"c_base": float("nan")}, "c_base"),
+        ({"lam": float("inf")}, "lam"),
+        ([0.1], "JSON object"),
+    ])
+    def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        rc = main(["plan", "--scene", "empty_2d", "--params", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_null_eta_in_params_file_means_default(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"lam": 0.1, "eta": None}), encoding="utf-8")
+        assert main(["plan", "--scene", "empty_2d", "--params", str(path)]) == 0
+
 
 class TestBenchCommand:
     def test_grid_run(self, tmp_path, capsys):
@@ -81,3 +104,43 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "scenes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"params": {"lam": 0.05, "kapa": 0.3}}, "kapa"),
+        ({"params": {"lam": [0.05]}}, "lam"),
+        ({"params": 0.05}, "params"),
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": {"start": 0}}, "seeds"),
+        ({"seeds": [0, "1"]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"max_samples": "10000"}, "max_samples"),
+        ({"max_samples": 0}, "max_samples"),
+        ({"scenes": "empty_2d"}, "scenes"),
+        ({"planners": [1]}, "planners"),
+        ({"svg": "yes"}, "svg"),
+        ({"endpoints": {"empty_2d": [[0.1, 0.1]]}}, "endpoints"),
+        ({"seed": 3}, "seed"),
+    ])
+    def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"scenes": ["empty_2d"], "planners": ["sprint"],
+                                   "seeds": {"start": 0, "count": 1},
+                                   "max_samples": 10_000, **change}), encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["bench", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not (out / "results.csv").exists()
+
+    def test_seed_list_and_endpoints(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "scenes": ["empty_2d"], "planners": ["rrt-connect"], "seeds": [3, 5],
+            "endpoints": {"empty_2d": [[0.2, 0.2], [0.7, 0.6]]},
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert [r.split(",")[2] for r in rows[1:3]] == ["3", "5"]

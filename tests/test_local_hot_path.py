@@ -1,0 +1,195 @@
+"""Equivalence checks for the local layer's hot path: the array repulsion
+against the per-point loop it replaced, the cached culling cutoffs against
+the gate formula, and the collision-point ring against a bounded deque."""
+
+import math
+from collections import deque
+
+import numpy as np
+import pytest
+
+from sprint_planner.bench import AblationMode, apply_ablation
+from sprint_planner.geometry import Region, hvs, proj, proj_scalar
+from sprint_planner.local_planner import (LocalTree, backprop_collision,
+                                          collision_points, grad_g3,
+                                          promote_checkpoint, subtree_sigma,
+                                          valid_node)
+from sprint_planner.params import SprintParams
+
+
+def grad_g3_reference(q_x, q_c, obs, lam, rng):
+    """The per-point repulsion loop, kept as the oracle for grad_g3."""
+    if not len(obs):
+        raise ValueError("grad_g3 requires at least one collision point")
+    region = Region(q_x, q_c)
+    total = np.zeros_like(q_c)
+    for q_obs in obs:
+        s = proj_scalar(q_obs, region)
+        gate = hvs(s)
+        if gate == 0.0:
+            continue
+        p = proj(q_obs, region)
+        diff = p - q_obs
+        n = math.sqrt(diff.dot(diff))
+        psi32 = 5.0 * math.exp(-(n * n) / (4.0 * lam * lam))
+        if n == 0.0:
+            direction = rng.normal(size=q_c.shape[0])
+            direction /= np.linalg.norm(direction)
+        else:
+            direction = diff / n
+        total += psi32 * direction
+    return total / len(obs)
+
+
+def _perp(rng, dv):
+    """A random unit vector orthogonal to dv."""
+    v = rng.normal(size=dv.shape[0])
+    v -= (v @ dv) / (dv @ dv) * dv
+    return v / np.linalg.norm(v)
+
+
+def _case(rng, d, k):
+    """q_x, q_c, lam and k collision points mixing general points, points
+    behind q_x and points near the segment's line.
+
+    Near-line offsets stay above lam/100: closer in, the reference's own
+    rounding of q_x + t*dv, at the scale of |q_x| rather than of the
+    offset, exceeds the 1e-12 tolerance by itself.
+    """
+    lam = float(rng.uniform(0.02, 0.2))
+    q_x = rng.uniform(0.0, 1.0, d)
+    dv = rng.normal(size=d)
+    dv *= lam / np.linalg.norm(dv)
+    q_c = q_x + dv
+    obs = []
+    for _ in range(k):
+        kind = rng.integers(3)
+        if kind == 0:
+            obs.append(q_x + rng.normal(scale=2.0 * lam, size=d))
+        elif kind == 1:
+            t = -float(rng.uniform(0.05, 2.0))
+            obs.append(q_x + t * dv + rng.normal(scale=lam, size=d))
+        else:
+            t = float(rng.uniform(0.0, 2.0))
+            offset = lam * 10.0 ** float(rng.uniform(-2, -1))
+            obs.append(q_x + t * dv + offset * _perp(rng, dv))
+    return q_x, q_c, lam, np.array(obs)
+
+
+def _dyadic_case(rng, d, k):
+    """Coordinates on a 1/64 grid so the projection is exact in both
+    versions: two points lie on the line, one of them exactly on q_c, and
+    each of those must draw one random direction, in order."""
+    q_x = rng.integers(0, 32, d) / 64.0
+    dv = rng.integers(-4, 5, d) / 64.0
+    dv[0] = 1.0 / 64.0
+    q_c = q_x + dv
+    obs = [q_x + rng.integers(-8, 9, d) / 64.0 for _ in range(max(0, k - 2))]
+    obs.insert(int(rng.integers(len(obs) + 1)), q_c.copy())
+    obs.insert(int(rng.integers(len(obs) + 1)), q_x + 0.5 * dv)
+    return q_x, q_c, 0.05, np.array(obs)
+
+
+def _assert_same(q_x, q_c, lam, obs, seed):
+    """grad_g3 agrees with the reference to 1e-12 of the mean per-point
+    term magnitude (the terms can cancel, so the result's own norm is no
+    scale), and both leave the rng in the same state."""
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = grad_g3(q_x, q_c, obs, lam, rng_new)
+    want = grad_g3_reference(q_x, q_c, list(obs), lam, rng_ref)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    scale = np.mean([np.linalg.norm(grad_g3_reference(q_x, q_c, [q], lam,
+                                                      np.random.default_rng(0)))
+                     for q in obs])
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+class TestGradG3MatchesReference:
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_random_cases(self, d):
+        rng = np.random.default_rng(d)
+        for k in range(1, 11):
+            for trial in range(20):
+                _assert_same(*_case(rng, d, k), seed=1000 * k + trial)
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_zero_separation_draws_in_order(self, d):
+        rng = np.random.default_rng(100 + d)
+        for k in range(2, 11):
+            q_x, q_c, lam, obs = _dyadic_case(rng, d, k)
+            _assert_same(q_x, q_c, lam, obs, seed=k)
+            # the on-line points draw, so a fresh rng ends in a moved state
+            moved = np.random.default_rng(k)
+            grad_g3(q_x, q_c, obs, lam, moved)
+            assert moved.bit_generator.state != np.random.default_rng(k).bit_generator.state
+
+    def test_degenerate_segment_rejected(self):
+        q = np.array([0.5, 0.5])
+        with pytest.raises(ValueError):
+            grad_g3(q, q.copy(), np.array([[0.1, 0.1]]), 0.1, np.random.default_rng(0))
+
+
+def _gate_params():
+    base = SprintParams()
+    out = [base]
+    for seed in range(3):
+        perturbed, _ = apply_ablation(base, AblationMode.RANDOM_PARAMS,
+                                      np.random.default_rng(seed))
+        out.append(perturbed)
+    return out
+
+
+class TestCachedCutoffGate:
+    @pytest.mark.parametrize("p", _gate_params(), ids=["default", "rand0", "rand1", "rand2"])
+    def test_matches_gate_formula(self, p):
+        tree = LocalTree(np.zeros(2), np.ones(2), p)
+        rec = tree.records[0]
+        for n in range(1, 2001):
+            rec.subtree_node_count = n
+            c = subtree_sigma(n, p)
+            for x in range(401):
+                rec.samples_since_exploit = rec.samples_since_explore = x
+                expect = not math.exp(-(x * x) / (2.0 * c * c)) < p.kappa
+                if valid_node(0, tree, p) != expect:
+                    pytest.fail(f"n={n} x={x}: gate {not expect}, formula {expect}")
+
+    def test_never_rejecting_sigma_passes(self):
+        # an infinite sigma gives gate probability one at every stall count
+        p = SprintParams(c_base=math.inf)
+        tree = LocalTree(np.zeros(2), np.ones(2), p)
+        rec = tree.records[0]
+        rec.samples_since_exploit = rec.samples_since_explore = 10 ** 9
+        assert valid_node(0, tree, p)
+
+
+class TestObsRing:
+    @pytest.mark.parametrize("k_obs", [1, 3, 10])
+    def test_matches_bounded_deque(self, k_obs):
+        rng = np.random.default_rng(k_obs)
+        p = SprintParams(lam=0.05, k_obs=k_obs)
+        for _ in range(10):
+            tree = LocalTree(rng.uniform(0, 1, 3), rng.uniform(0, 1, 3), p)
+            model = {0: deque(maxlen=k_obs)}
+            for _ in range(200):
+                nid = int(rng.integers(len(tree.nodes)))
+                if rng.random() < 0.4:
+                    tree.add_node(rng.uniform(0, 1, 3), nid)
+                    if tree.nodes[nid].child_count >= 2 and nid not in model:
+                        promote_checkpoint(tree, nid)
+                        model[nid] = deque(maxlen=k_obs)
+                else:
+                    q = rng.uniform(0, 1, 3)
+                    backprop_collision(tree, nid, q)
+                    for cp in tree.nodes[nid].cp_chain:
+                        model[cp].append(q.copy())
+                    q[:] = -1.0  # the ring keeps its own copy
+            assert set(model) == set(tree.records)
+            for cp, pts in model.items():
+                got = tree.records[cp].obs_points
+                assert got.shape == (len(pts), 3)
+                assert len(pts) <= k_obs
+                np.testing.assert_array_equal(got, np.array(pts).reshape(-1, 3))
+            for nid in range(len(tree.nodes)):
+                expect = model[tree.nodes[nid].cp_chain[-1]]
+                np.testing.assert_array_equal(collision_points(nid, tree),
+                                              np.array(expect).reshape(-1, 3))
