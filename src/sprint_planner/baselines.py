@@ -68,11 +68,6 @@ class KdTree:
         return best_i
 
 
-def kd_nearest(tree: KdTree, q: Config) -> int:
-    """Id of the exact Euclidean nearest stored point."""
-    return tree.nearest(q)
-
-
 def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
     diff = q_to - q_from
     n = float(np.linalg.norm(diff))

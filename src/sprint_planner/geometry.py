@@ -1,4 +1,4 @@
-"""Configuration-space vector math and segment projection helpers.
+"""Configuration-space vector math: configurations, regions, distances.
 
 A configuration is a 1-D float64 numpy array; all functions here are pure
 and safe to call concurrently.
@@ -45,41 +45,6 @@ def dist(a: Config, b: Config) -> float:
     _check_dims(a, b)
     d = a - b
     return math.sqrt(d.dot(d))
-
-
-def proj_scalar(p: Config, r: Region) -> float:
-    """Unclamped parameter t of the orthogonal projection of p onto the line
-    through r.a and r.b, so that the projected point is r.a + t*(r.b - r.a)."""
-    _check_dims(p, r.a)
-    d = r.b - r.a
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
-        raise ValueError("degenerate region: endpoints coincide")
-    return float(np.dot(p - r.a, d)) / denom
-
-
-def proj(p: Config, r: Region) -> Config:
-    """Orthogonal projection of p onto the infinite line through r.a and r.b."""
-    t = proj_scalar(p, r)
-    return r.a + t * (r.b - r.a)
-
-
-def hvs(x: float) -> float:
-    """Heaviside step; the value at exactly 0 is 1."""
-    return 0.0 if x < 0.0 else 1.0
-
-
-def as_polyline(points) -> np.ndarray:
-    """Coerce to an (n, d) polyline array, n >= 2, consecutive points distinct."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError(f"polyline needs >= 2 points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("polyline contains non-finite coordinates")
-    seg = np.diff(pts, axis=0)
-    if np.any(np.all(seg == 0.0, axis=1)):
-        raise ValueError("polyline has consecutive duplicate points")
-    return pts
 
 
 def polyline_length(points) -> float:

@@ -16,7 +16,7 @@ from .world import CollisionOracle
 
 __all__ = [
     "SprintParams", "PlanStatus", "PlanResult", "GlobalTree", "SprintVariant",
-    "plan", "select_region", "add_milestones", "assemble_path",
+    "plan", "add_milestones", "assemble_path",
 ]
 
 
@@ -37,16 +37,13 @@ class PlanResult:
 
 @dataclass
 class GlobalTree:
-    """Global search state: nodes rooted at q_init, milestone pool, polyline
-    edges from completed local searches, and failed-region bookkeeping."""
+    """Global search state: nodes rooted at q_init, milestone pool, and
+    polyline edges from completed local searches."""
 
     nodes: list[Config]
     parents: list[int | None]
     edge_paths: list[np.ndarray | None]
     milestones: list[Config]
-    local_min_regions: list[Region] = field(default_factory=list)
-    attempted: set[tuple[int, int]] = field(default_factory=set)
-    reached_milestones: set[int] = field(default_factory=set)
 
     @classmethod
     def rooted_at(cls, q_init: Config) -> "GlobalTree":
@@ -62,60 +59,15 @@ class SprintVariant:
     edge_fn: object | None = None
 
 
-def _candidate_pairs(tree: GlobalTree) -> list[tuple[int, int]]:
-    out = []
-    for mi in range(len(tree.milestones)):
-        if mi in tree.reached_milestones:
-            continue
-        for ni in range(len(tree.nodes)):
-            if (ni, mi) not in tree.attempted:
-                out.append((ni, mi))
-    return out
-
-
-def _pair_scores(tree: GlobalTree, q_goal: Config, params: SprintParams,
-                 pairs: list[tuple[int, int]]) -> np.ndarray:
-    c = dist(tree.nodes[0], q_goal)
-    if c == 0.0:
-        c = 1.0
-    nodes = np.array(tree.nodes)
-    miles = np.array(tree.milestones)
-    d_m_goal = np.linalg.norm(miles - q_goal, axis=1)
-    d_n_goal = np.linalg.norm(nodes - q_goal, axis=1)
-
-    # goal-progress term per (node, milestone) pair: shortfall from ideal
-    # goal-ward progress of the region
-    ni = np.array([p[0] for p in pairs])
-    mi = np.array([p[1] for p in pairs])
-    d_nm = np.linalg.norm(nodes[ni] - miles[mi], axis=1)
-    x1 = np.maximum(0.0, d_m_goal[mi] - (d_n_goal[ni] - d_nm))
-    g1 = np.exp(-(x1 * x1) / (2.0 * c * c))
-
-    # failed-region repulsion: penalize milestones sitting past the far
-    # endpoint of any exhausted region's ray
-    peak = np.zeros(len(tree.milestones))
-    for region in tree.local_min_regions:
-        dvec = region.b - region.a
-        denom = float(np.dot(dvec, dvec))
-        if denom == 0.0:
-            continue
-        s = (miles - region.a) @ dvec / denom
-        projs = region.a + s[:, None] * dvec
-        dr = np.linalg.norm(miles - projs, axis=1)
-        term = np.where(s >= 1.0, np.exp(-(dr * dr) / (2.0 * c * c)), 0.0)
-        peak = np.maximum(peak, term)
-    g2 = 1.0 - peak
-
-    return (params.w1_g * g1) * (params.w2_g * g2[mi])
-
-
 class _PairSelector:
-    """Incremental cache of pair scores for the planning loop.
+    """The region scorer: ranks (global node, milestone) pairs by
+    w1 * g1 * w2 * (1 - peak).
 
-    Keeps the goal-progress matrix and the per-milestone failed-region peak
-    up to date as nodes, milestones, and failed regions arrive, so each
-    selection is a vectorized argmax instead of a rebuild over all pairs.
-    Scores match _pair_scores exactly.
+    g1 is the goal-progress term of each pair, kept as a nodes x milestones
+    matrix that grows a row per node and a column block per milestone batch.
+    peak is each milestone's largest failed-region term, a running max over
+    regions.  Each selection builds the score matrix afresh, with -inf for
+    attempted pairs and reached milestones.
     """
 
     def __init__(self, q_init: Config, q_goal: Config, params: SprintParams):
@@ -123,183 +75,105 @@ class _PairSelector:
         self.params = params
         c = dist(q_init, q_goal)
         self.c = c if c != 0.0 else 1.0
-        self.dim = q_init.shape[0]
-        self.n_nodes = 0
-        self.n_miles = 0
-        self._nodes = np.empty((4, self.dim))
-        self._miles = np.empty((64, self.dim))
-        self._d_n_goal = np.empty(4)
-        self._d_m_goal = np.empty(64)
-        self._peak = np.zeros(64)
-        self._g1 = np.empty((4, 64))
-        self._attempted = np.zeros((4, 64), dtype=bool)
-        self._reached = np.zeros(64, dtype=bool)
-        # masked score cache: -inf marks attempted pairs and reached milestones
-        self._scores = np.empty((4, 64))
-        self.n_regions = 0
-        self._reg_a = np.empty((16, self.dim))
-        self._reg_dvec = np.empty((16, self.dim))
-        self._reg_denom = np.empty(16)
+        dim = q_init.shape[0]
+        self._nodes = np.empty((0, dim))
+        self._d_n_goal = np.empty(0)
+        self._miles = np.empty((0, dim))
+        self._d_m_goal = np.empty(0)
+        self._g1 = np.empty((0, 0))
+        self._peak = np.empty(0)
+        self._attempted = np.zeros((0, 0), dtype=bool)
+        self._reached = np.zeros(0, dtype=bool)
+        self._regions: list[tuple[Config, Config, float]] = []
         self.add_node(q_init)
 
-    @staticmethod
-    def _grown(arr: np.ndarray, axis: int) -> np.ndarray:
-        shape = list(arr.shape)
-        shape[axis] *= 2
-        out = np.zeros(shape, dtype=arr.dtype) if arr.dtype == bool else np.empty(shape, dtype=arr.dtype)
-        out[tuple(slice(0, s) for s in arr.shape)] = arr
-        return out
-
-    def _g1_block(self, nodes_sl, miles_sl) -> np.ndarray:
-        nodes = self._nodes[nodes_sl]
-        miles = self._miles[miles_sl]
+    def _progress(self, nodes, d_n_goal, miles, d_m_goal) -> np.ndarray:
+        """g1 for every (node, milestone) pair: the shortfall of the region's
+        goal-ward progress from the ideal, under a Gaussian of width c."""
         d_nm = np.linalg.norm(nodes[:, None, :] - miles[None, :, :], axis=2)
-        x1 = np.maximum(0.0, self._d_m_goal[miles_sl][None, :]
-                        - (self._d_n_goal[nodes_sl][:, None] - d_nm))
+        x1 = np.maximum(0.0, d_m_goal[None, :] - (d_n_goal[:, None] - d_nm))
         return np.exp(-(x1 * x1) / (2.0 * self.c * self.c))
 
-    def add_node(self, q: Config) -> None:
-        if self.n_nodes == self._nodes.shape[0]:
-            self._nodes = self._grown(self._nodes, 0)
-            self._d_n_goal = self._grown(self._d_n_goal, 0)
-            self._g1 = self._grown(self._g1, 0)
-            self._attempted = self._grown(self._attempted, 0)
-            self._scores = self._grown(self._scores, 0)
-        i = self.n_nodes
-        self._nodes[i] = q
-        self._d_n_goal[i] = dist(q, self.q_goal)
-        self.n_nodes += 1
-        if self.n_miles:
-            m = self.n_miles
-            self._g1[i, :m] = self._g1_block(slice(i, i + 1), slice(0, m))[0]
-            self._refresh_scores(slice(i, i + 1), slice(0, m))
+    def _region_peak(self, miles: np.ndarray, regions) -> np.ndarray:
+        """Per milestone, the largest failed-region term over the given
+        (a, dvec, denom) regions: a Gaussian of the milestone's distance from
+        a region's line where it projects past the far endpoint, else 0.
 
-    def add_milestone(self, q: Config) -> None:
-        if self.n_miles == self._miles.shape[0]:
-            self._miles = self._grown(self._miles, 0)
-            self._d_m_goal = self._grown(self._d_m_goal, 0)
-            self._peak = self._grown(self._peak, 0)
-            self._g1 = self._grown(self._g1, 1)
-            self._attempted = self._grown(self._attempted, 1)
-            self._reached = self._grown(self._reached, 0)
-            self._scores = self._grown(self._scores, 1)
-        j = self.n_miles
-        self._miles[j] = q
-        self._d_m_goal[j] = dist(q, self.q_goal)
-        self._peak[j] = 0.0
-        self.n_miles += 1
-        if self.n_nodes:
-            self._g1[: self.n_nodes, j] = self._g1_block(slice(0, self.n_nodes),
-                                                         slice(j, j + 1))[:, 0]
-        if self.n_regions:
-            # seed the failed-region peak for the new milestone over all regions
-            a = self._reg_a[: self.n_regions]
-            dvec = self._reg_dvec[: self.n_regions]
-            denom = self._reg_denom[: self.n_regions]
-            rel = q[None, :] - a
-            s = np.einsum("ij,ij->i", rel, dvec) / denom
-            dr2 = np.einsum("ij,ij->i", rel, rel) - s * s * denom
-            dr2 = np.maximum(dr2, 0.0)
-            term = np.where(s >= 1.0, np.exp(-dr2 / (2.0 * self.c * self.c)), 0.0)
-            self._peak[j] = float(term.max(initial=0.0))
-        if self.n_nodes:
-            self._refresh_scores(slice(0, self.n_nodes), slice(j, j + 1))
+        A failed region's own milestone projects at s = 1 in exact
+        arithmetic, so rounding in s decides whether it is penalized; the
+        fixed-seed trials depend on s being computed as this matmul over
+        the milestone rows passed in."""
+        peak = np.zeros(len(miles))
+        for a, dvec, denom in regions:
+            s = (miles - a) @ dvec / denom
+            dr = np.linalg.norm(miles - (a + s[:, None] * dvec), axis=1)
+            term = np.where(s >= 1.0, np.exp(-(dr * dr) / (2.0 * self.c * self.c)), 0.0)
+            peak = np.maximum(peak, term)
+        return peak
+
+    def add_node(self, q: Config) -> None:
+        d_goal = np.array([dist(q, self.q_goal)])
+        row = self._progress(q[None, :], d_goal, self._miles, self._d_m_goal)
+        self._nodes = np.vstack([self._nodes, q])
+        self._d_n_goal = np.concatenate([self._d_n_goal, d_goal])
+        self._g1 = np.vstack([self._g1, row])
+        self._attempted = np.vstack([self._attempted, np.zeros_like(row, dtype=bool)])
+
+    def add_milestones(self, batch) -> None:
+        miles = np.asarray(batch, dtype=np.float64)
+        d_goal = np.array([dist(q, self.q_goal) for q in miles])
+        cols = self._progress(self._nodes, self._d_n_goal, miles, d_goal)
+        self._miles = np.vstack([self._miles, miles])
+        self._d_m_goal = np.concatenate([self._d_m_goal, d_goal])
+        self._g1 = np.hstack([self._g1, cols])
+        self._attempted = np.hstack([self._attempted, np.zeros_like(cols, dtype=bool)])
+        self._reached = np.concatenate([self._reached, np.zeros(len(miles), dtype=bool)])
+        self._peak = np.concatenate([self._peak, self._region_peak(miles, self._regions)])
 
     def add_region(self, region: Region) -> None:
         dvec = region.b - region.a
         denom = float(np.dot(dvec, dvec))
         if denom == 0.0:
             return
-        if self.n_regions == self._reg_a.shape[0]:
-            self._reg_a = self._grown(self._reg_a, 0)
-            self._reg_dvec = self._grown(self._reg_dvec, 0)
-            self._reg_denom = self._grown(self._reg_denom, 0)
-        self._reg_a[self.n_regions] = region.a
-        self._reg_dvec[self.n_regions] = dvec
-        self._reg_denom[self.n_regions] = denom
-        self.n_regions += 1
-        miles = self._miles[: self.n_miles]
-        s = (miles - region.a) @ dvec / denom
-        projs = region.a + s[:, None] * dvec
-        dr = np.linalg.norm(miles - projs, axis=1)
-        term = np.where(s >= 1.0, np.exp(-(dr * dr) / (2.0 * self.c * self.c)), 0.0)
-        old = self._peak[: self.n_miles]
-        changed = np.flatnonzero(term > old)
-        if changed.size:
-            old[changed] = term[changed]
-            self._refresh_scores(slice(0, self.n_nodes), changed)
-
-    def _refresh_scores(self, rows, cols) -> None:
-        """Recompute the cached scores for a rows x cols block, keeping the
-        -inf markers for attempted pairs and reached milestones."""
-        p = self.params
-        g1 = self._g1[rows, cols] if isinstance(rows, slice) else self._g1[np.ix_(rows, cols)]
-        g2 = 1.0 - self._peak[cols]
-        block = (p.w1_g * g1) * (p.w2_g * g2)[None, :] if g1.ndim == 2 else (p.w1_g * g1) * (p.w2_g * g2)
-        if isinstance(rows, slice):
-            att = self._attempted[rows, cols]
-            block = np.where(att | self._reached[cols][None, :], -np.inf, block)
-            self._scores[rows, cols] = block
-        else:
-            att = self._attempted[np.ix_(rows, cols)]
-            block = np.where(att | self._reached[cols][None, :], -np.inf, block)
-            self._scores[np.ix_(rows, cols)] = block
+        self._regions.append((region.a, dvec, denom))
+        self._peak = np.maximum(self._peak, self._region_peak(self._miles, self._regions[-1:]))
 
     def mark_attempted(self, ni: int, mi: int) -> None:
         self._attempted[ni, mi] = True
-        self._scores[ni, mi] = -np.inf
 
     def mark_reached(self, mi: int) -> None:
         self._reached[mi] = True
-        self._scores[: self.n_nodes, mi] = -np.inf
 
-    def _score_view(self) -> np.ndarray:
-        return self._scores[: self.n_nodes, : self.n_miles]
-
-    def has_candidates(self) -> bool:
-        return bool(np.isfinite(self._score_view()).any())
+    def scores(self) -> np.ndarray:
+        """The nodes x milestones score matrix; -inf marks attempted pairs
+        and reached milestones."""
+        p = self.params
+        out = (p.w1_g * self._g1) * (p.w2_g * (1.0 - self._peak))[None, :]
+        out[self._attempted | self._reached] = -np.inf
+        return out
 
     def select_random(self, rng: np.random.Generator) -> tuple[int, int] | None:
-        flat = np.flatnonzero(np.isfinite(self._score_view()))
+        flat = np.flatnonzero(~(self._attempted | self._reached[None, :]))
         if flat.size == 0:
             return None
         pick = int(flat[int(rng.integers(flat.size))])
-        return divmod(pick, self.n_miles)
+        return divmod(pick, len(self._miles))
 
     def select_best(self) -> tuple[int, int] | None:
-        view = self._score_view()
-        best = view.max()
+        view = self.scores()
+        best = view.max(initial=-np.inf)
         if best == -np.inf:
             return None
+        n_miles = len(self._miles)
         flat = np.flatnonzero(view == best)
         if flat.size == 1:
-            return divmod(int(flat[0]), self.n_miles)
+            return divmod(int(flat[0]), n_miles)
         # break ties by milestone closeness to goal, then insertion order;
         # flat indices are row-major so argmin's first-hit rule matches the
         # (node index, milestone index) ordering
-        ni, mi = np.divmod(flat, self.n_miles)
+        ni, mi = np.divmod(flat, n_miles)
         k = int(np.argmin(self._d_m_goal[mi]))
         return int(ni[k]), int(mi[k])
-
-
-def _select_pair(tree: GlobalTree, q_goal: Config, params: SprintParams) -> tuple[int, int]:
-    pairs = _candidate_pairs(tree)
-    if not pairs:
-        raise ValueError("select_region requires at least one unattempted pair")
-    scores = _pair_scores(tree, q_goal, params, pairs)
-    best = float(np.max(scores))
-    ties = [pairs[i] for i in np.flatnonzero(scores == best)]
-    if len(ties) == 1:
-        return ties[0]
-    # break ties by milestone closeness to goal, then insertion order
-    miles = tree.milestones
-    return min(ties, key=lambda p: (dist(miles[p[1]], q_goal), p[0], p[1]))
-
-
-def select_region(tree: GlobalTree, q_goal: Config, params: SprintParams) -> tuple[Config, Config]:
-    """Best unattempted (global node, milestone) pair under the region heuristic."""
-    ni, mi = _select_pair(tree, q_goal, params)
-    return tree.nodes[ni], tree.milestones[mi]
 
 
 def add_milestones(tree: GlobalTree, oracle: CollisionOracle, params: SprintParams,
@@ -357,11 +231,10 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     def grow_milestones() -> None:
         before = len(tree.milestones)
         add_milestones(tree, oracle, params, rng)
-        for q in tree.milestones[before:]:
-            selector.add_milestone(q)
+        selector.add_milestones(tree.milestones[before:])
 
     tree.milestones.append(q_goal)
-    selector.add_milestone(q_goal)
+    selector.add_milestones([q_goal])
     grow_milestones()
 
     def used() -> int:
@@ -377,7 +250,6 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             grow_milestones()
             continue
         ni, mi = pick
-        tree.attempted.add((ni, mi))
         selector.mark_attempted(ni, mi)
         q_n, q_m = tree.nodes[ni], tree.milestones[mi]
         remaining = params.max_total_samples - used()
@@ -387,16 +259,13 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             tree.nodes.append(q_m)
             tree.parents.append(ni)
             tree.edge_paths.append(res.path)
-            tree.reached_milestones.add(mi)
             selector.add_node(q_m)
             selector.mark_reached(mi)
             if mi == 0:
                 solved = True
                 break
         else:
-            region = Region(q_n, q_m)
-            tree.local_min_regions.append(region)
-            selector.add_region(region)
+            selector.add_region(Region(q_n, q_m))
 
     wall = time.perf_counter() - t0
     edges = [p for p in tree.edge_paths if p is not None]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,21 @@ class SprintParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0:
+        # each check is written so that NaN fails it
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
         if self.ascent_iters not in (1, 2):
             raise ValueError("ascent_iters must be 1 or 2")
-        for name in ("milestone_batch", "r_retry", "k_obs", "max_local_samples", "max_total_samples"):
-            if getattr(self, name) <= 0:
+        for name in ("milestone_batch", "r_retry", "k_obs", "max_local_samples", "max_total_samples",
+                     "w1_g", "w2_g", "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("w1_g", "w2_g", "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("eta", "eps_prog"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be None or positive")
 
     @property
     def eta_eff(self) -> float:
@@ -58,9 +61,6 @@ class SprintParams:
     @property
     def eps_prog_eff(self) -> float:
         return self.eps_prog if self.eps_prog is not None else self.lam / 10.0
-
-    def with_overrides(self, **kwargs) -> "SprintParams":
-        return replace(self, **kwargs)
 
 
 def params_from_json(obj) -> SprintParams:
@@ -103,7 +103,7 @@ class BaselineParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be positive")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must lie in [0, 1]")

@@ -1,0 +1,117 @@
+"""Scalar and list-based reference implementations, kept as test oracles.
+
+The planner runs the vectorized forms: `_PairSelector` for region selection
+and `local_planner.grad_g3` for the repulsion.  The plain versions here
+recompute everything from scratch and are what the equivalence tests
+compare those against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from sprint_planner.geometry import Config, Region, _check_dims, dist
+from sprint_planner.params import SprintParams
+
+
+def proj_scalar(p: Config, r: Region) -> float:
+    """Unclamped parameter t of the orthogonal projection of p onto the line
+    through r.a and r.b, so that the projected point is r.a + t*(r.b - r.a)."""
+    _check_dims(p, r.a)
+    d = r.b - r.a
+    denom = float(np.dot(d, d))
+    if denom == 0.0:
+        raise ValueError("degenerate region: endpoints coincide")
+    return float(np.dot(p - r.a, d)) / denom
+
+
+def proj(p: Config, r: Region) -> Config:
+    """Orthogonal projection of p onto the infinite line through r.a and r.b."""
+    t = proj_scalar(p, r)
+    return r.a + t * (r.b - r.a)
+
+
+def hvs(x: float) -> float:
+    """Heaviside step; the value at exactly 0 is 1."""
+    return 0.0 if x < 0.0 else 1.0
+
+
+@dataclass
+class RegionState:
+    """What region selection sees: global nodes, the milestone pool, failed
+    regions, attempted (node, milestone) pairs and reached milestones."""
+
+    nodes: list[Config]
+    milestones: list[Config] = field(default_factory=list)
+    local_min_regions: list[Region] = field(default_factory=list)
+    attempted: set[tuple[int, int]] = field(default_factory=set)
+    reached_milestones: set[int] = field(default_factory=set)
+
+
+def candidate_pairs(tree: RegionState) -> list[tuple[int, int]]:
+    out = []
+    for mi in range(len(tree.milestones)):
+        if mi in tree.reached_milestones:
+            continue
+        for ni in range(len(tree.nodes)):
+            if (ni, mi) not in tree.attempted:
+                out.append((ni, mi))
+    return out
+
+
+def pair_scores(tree: RegionState, q_goal: Config, params: SprintParams,
+                pairs: list[tuple[int, int]]) -> np.ndarray:
+    c = dist(tree.nodes[0], q_goal)
+    if c == 0.0:
+        c = 1.0
+    nodes = np.array(tree.nodes)
+    miles = np.array(tree.milestones)
+    d_m_goal = np.linalg.norm(miles - q_goal, axis=1)
+    d_n_goal = np.linalg.norm(nodes - q_goal, axis=1)
+
+    # goal-progress term per (node, milestone) pair: shortfall from ideal
+    # goal-ward progress of the region
+    ni = np.array([p[0] for p in pairs])
+    mi = np.array([p[1] for p in pairs])
+    d_nm = np.linalg.norm(nodes[ni] - miles[mi], axis=1)
+    x1 = np.maximum(0.0, d_m_goal[mi] - (d_n_goal[ni] - d_nm))
+    g1 = np.exp(-(x1 * x1) / (2.0 * c * c))
+
+    # failed-region repulsion: penalize milestones sitting past the far
+    # endpoint of any exhausted region's ray
+    peak = np.zeros(len(tree.milestones))
+    for region in tree.local_min_regions:
+        dvec = region.b - region.a
+        denom = float(np.dot(dvec, dvec))
+        if denom == 0.0:
+            continue
+        s = (miles - region.a) @ dvec / denom
+        projs = region.a + s[:, None] * dvec
+        dr = np.linalg.norm(miles - projs, axis=1)
+        term = np.where(s >= 1.0, np.exp(-(dr * dr) / (2.0 * c * c)), 0.0)
+        peak = np.maximum(peak, term)
+    g2 = 1.0 - peak
+
+    return (params.w1_g * g1) * (params.w2_g * g2[mi])
+
+
+def select_pair(tree: RegionState, q_goal: Config, params: SprintParams) -> tuple[int, int]:
+    pairs = candidate_pairs(tree)
+    if not pairs:
+        raise ValueError("select_region requires at least one unattempted pair")
+    scores = pair_scores(tree, q_goal, params, pairs)
+    best = float(np.max(scores))
+    ties = [pairs[i] for i in np.flatnonzero(scores == best)]
+    if len(ties) == 1:
+        return ties[0]
+    # break ties by milestone closeness to goal, then insertion order
+    miles = tree.milestones
+    return min(ties, key=lambda p: (dist(miles[p[1]], q_goal), p[0], p[1]))
+
+
+def select_region(tree: RegionState, q_goal: Config, params: SprintParams) -> tuple[Config, Config]:
+    """Best unattempted (global node, milestone) pair under the region heuristic."""
+    ni, mi = select_pair(tree, q_goal, params)
+    return tree.nodes[ni], tree.milestones[mi]

@@ -17,8 +17,7 @@ import pytest
 from sprint_planner.baselines import KdTree
 from sprint_planner.bench import run_trial, write_csv, record_row
 from sprint_planner.geometry import Region, dist
-from sprint_planner.global_planner import (GlobalTree, SprintParams,
-                                           _select_pair, plan)
+from sprint_planner.global_planner import SprintParams, _PairSelector, plan
 from sprint_planner.local_planner import (LocalTree, grad_g2, grad_g3,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
@@ -240,15 +239,17 @@ class TestCriterion7HeuristicMath:
         checks.append(not valid_node(0, tree, p))
 
         # region-selection argmax is invariant under positive weight scaling
-        t = GlobalTree.rooted_at(np.array([0.1, 0.5]))
-        t.milestones = [np.array([0.9, 0.5]), np.array([0.5, 0.9]),
-                        np.array([0.4, 0.2])]
-        t.local_min_regions.append(Region(np.array([0.1, 0.5]), np.array([0.5, 0.6])))
         goal = np.array([0.9, 0.5])
-        base = _select_pair(t, goal, SprintParams(lam=lam))
+
+        def best_pair(params):
+            sel = _PairSelector(np.array([0.1, 0.5]), goal, params)
+            sel.add_milestones([[0.9, 0.5], [0.5, 0.9], [0.4, 0.2]])
+            sel.add_region(Region(np.array([0.1, 0.5]), np.array([0.5, 0.6])))
+            return sel.select_best()
+
+        base = best_pair(SprintParams(lam=lam))
         for w1, w2 in ((10.0, 1.0), (0.01, 5.0), (3.3, 777.0)):
-            checks.append(_select_pair(t, goal, SprintParams(lam=lam, w1_g=w1,
-                                                             w2_g=w2)) == base)
+            checks.append(best_pair(SprintParams(lam=lam, w1_g=w1, w2_g=w2)) == base)
 
         elapsed = time.perf_counter() - t0
         ok = all(checks) and elapsed < 1.0

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sprint_planner.baselines import (KdTree, kd_nearest, rrt_connect_plan,
-                                      rrt_plan)
+from sprint_planner.baselines import KdTree, rrt_connect_plan, rrt_plan
 from sprint_planner.global_planner import PlanStatus
 from sprint_planner.params import BaselineParams
 from sprint_planner.world import Box, CollisionOracle, Scene
@@ -27,7 +26,7 @@ class TestKdTree:
             kd.insert(p)
         for q in rng.uniform(0, 1, size=(100, 3)):
             expect = int(np.argmin(np.sum((pts - q) ** 2, axis=1)))
-            assert kd_nearest(kd, q) == expect
+            assert kd.nearest(q) == expect
 
     def test_exact_across_rebuild_boundary(self):
         # queries must see both the indexed block and the recent buffer

@@ -6,10 +6,11 @@ import pytest
 from sprint_planner.geometry import Region, dist
 from sprint_planner.global_planner import (GlobalTree, PlanStatus, SprintParams,
                                            SprintVariant, _PairSelector,
-                                           _pair_scores, _candidate_pairs,
-                                           _select_pair, add_milestones,
-                                           assemble_path, plan, select_region)
+                                           add_milestones, assemble_path, plan)
 from sprint_planner.world import Box, CollisionOracle, Scene
+
+from reference import (RegionState, candidate_pairs, pair_scores, select_pair,
+                       select_region)
 
 
 def empty_scene(dim=2):
@@ -21,26 +22,28 @@ def params(**kwargs):
 
 
 class TestRegionScores:
+    """The list-based reference scorer, which the equivalence tests below
+    hold the planner's _PairSelector to."""
+
     def tree(self):
-        t = GlobalTree.rooted_at(np.array([0.1, 0.5]))
-        t.milestones = [np.array([0.9, 0.5]), np.array([0.5, 0.9]),
-                        np.array([0.4, 0.5])]
-        return t
+        return RegionState(nodes=[np.array([0.1, 0.5])],
+                           milestones=[np.array([0.9, 0.5]), np.array([0.5, 0.9]),
+                                       np.array([0.4, 0.5])])
 
     def test_goalward_milestone_wins(self):
         t = self.tree()
         goal = np.array([0.9, 0.5])
-        ni, mi = _select_pair(t, goal, params())
+        ni, mi = select_pair(t, goal, params())
         assert (ni, mi) == (0, 0)
 
     def test_scores_drop_for_milestones_past_failed_region(self):
         t = self.tree()
         goal = np.array([0.9, 0.5])
-        pairs = _candidate_pairs(t)
-        before = _pair_scores(t, goal, params(), pairs)
+        pairs = candidate_pairs(t)
+        before = pair_scores(t, goal, params(), pairs)
         # a failed region whose ray points straight at milestone 0
         t.local_min_regions.append(Region(np.array([0.1, 0.5]), np.array([0.5, 0.5])))
-        after = _pair_scores(t, goal, params(), pairs)
+        after = pair_scores(t, goal, params(), pairs)
         i0 = pairs.index((0, 0))
         i2 = pairs.index((0, 2))
         assert after[i0] < before[i0]
@@ -51,21 +54,21 @@ class TestRegionScores:
         t = self.tree()
         goal = np.array([0.9, 0.5])
         t.local_min_regions.append(Region(np.array([0.1, 0.5]), np.array([0.5, 0.7])))
-        base = _select_pair(t, goal, params(w1_g=1.0, w2_g=1.0))
+        base = select_pair(t, goal, params(w1_g=1.0, w2_g=1.0))
         for w1, w2 in ((7.0, 1.0), (1.0, 0.001), (123.4, 56.7)):
-            assert _select_pair(t, goal, params(w1_g=w1, w2_g=w2)) == base
+            assert select_pair(t, goal, params(w1_g=w1, w2_g=w2)) == base
 
     def test_attempted_pairs_are_excluded(self):
         t = self.tree()
         goal = np.array([0.9, 0.5])
         t.attempted.add((0, 0))
-        ni, mi = _select_pair(t, goal, params())
+        ni, mi = select_pair(t, goal, params())
         assert (ni, mi) != (0, 0)
 
     def test_no_candidates_raises(self):
-        t = GlobalTree.rooted_at(np.array([0.1, 0.5]))
+        t = RegionState(nodes=[np.array([0.1, 0.5])])
         with pytest.raises(ValueError):
-            _select_pair(t, np.array([0.9, 0.5]), params())
+            select_pair(t, np.array([0.9, 0.5]), params())
 
     def test_select_region_returns_configs(self):
         t = self.tree()
@@ -76,28 +79,25 @@ class TestRegionScores:
 
 class TestPairSelectorEquivalence:
     def test_matches_reference_under_random_scripts(self):
-        """The incremental score cache must agree with the full recompute for
+        """The scorer must agree with the reference's full recompute for
         arbitrary interleavings of node/milestone/region arrivals and marks."""
         rng = np.random.default_rng(42)
         p = params()
         for _ in range(15):
             q_init = rng.uniform(0, 1, 2)
             q_goal = rng.uniform(0, 1, 2)
-            tree = GlobalTree.rooted_at(q_init)
+            tree = RegionState(nodes=[q_init], milestones=[q_goal])
             sel = _PairSelector(q_init, q_goal, p)
-            tree.milestones.append(q_goal)
-            sel.add_milestone(q_goal)
+            sel.add_milestones([q_goal])
             for _ in range(40):
                 r = rng.random()
                 if r < 0.25:
-                    q = rng.uniform(0, 1, 2)
-                    tree.milestones.append(q)
-                    sel.add_milestone(q)
+                    batch = list(rng.uniform(0, 1, (int(rng.integers(1, 4)), 2)))
+                    tree.milestones.extend(batch)
+                    sel.add_milestones(batch)
                 elif r < 0.45:
                     q = rng.uniform(0, 1, 2)
                     tree.nodes.append(q)
-                    tree.parents.append(0)
-                    tree.edge_paths.append(None)
                     sel.add_node(q)
                 elif r < 0.65:
                     region = Region(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2))
@@ -112,24 +112,58 @@ class TestPairSelectorEquivalence:
                     mi = int(rng.integers(len(tree.milestones)))
                     tree.reached_milestones.add(mi)
                     sel.mark_reached(mi)
-                pairs = _candidate_pairs(tree)
+                pairs = candidate_pairs(tree)
                 if not pairs:
-                    assert not sel.has_candidates()
+                    assert sel.select_best() is None
+                    assert sel.select_random(rng) is None
                     continue
-                assert sel.has_candidates()
-                assert sel.select_best() == _select_pair(tree, q_goal, p)
+                assert sel.select_best() == select_pair(tree, q_goal, p)
+                scores = sel.scores()
+                ref = pair_scores(tree, q_goal, p, pairs)
+                np.testing.assert_allclose(scores[tuple(np.array(pairs).T)], ref,
+                                           rtol=1e-12, atol=0.0)
+                assert np.isfinite(scores).sum() == len(pairs)
 
     def test_random_selection_only_offers_candidates(self):
         rng = np.random.default_rng(3)
         p = params()
         sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]), p)
-        for _ in range(5):
-            sel.add_milestone(rng.uniform(0, 1, 2))
+        sel.add_milestones(rng.uniform(0, 1, (5, 2)))
         sel.mark_attempted(0, 2)
         sel.mark_reached(1)
         seen = {sel.select_random(rng) for _ in range(200)}
         assert (0, 2) not in seen
         assert all(mi != 1 for _, mi in seen)
+
+    @pytest.mark.parametrize("dim", [2, 6, 10])
+    def test_scores_do_not_depend_on_arrival_order(self, dim):
+        """Failed regions added before a milestone batch must score it as if
+        they had come after it.  Sizes follow the planner on the bundled
+        fixtures: up to 28 nodes, the goal plus batches of 50 milestones,
+        and 46 failed regions."""
+        p = params()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            q_init, q_goal = rng.uniform(0, 1, dim), rng.uniform(0, 1, dim)
+            nodes = rng.uniform(0, 1, (27, dim))
+            batches = [rng.uniform(0, 1, (p.milestone_batch, dim)) for _ in range(3)]
+            regions = [Region(rng.uniform(0, 1, dim), rng.uniform(0, 1, dim))
+                       for _ in range(46)]
+            before = _PairSelector(q_init, q_goal, p)
+            after = _PairSelector(q_init, q_goal, p)
+            for sel in (before, after):
+                sel.add_milestones([q_goal])
+                for q in nodes:
+                    sel.add_node(q)
+            for region in regions:
+                before.add_region(region)
+            for batch in batches:
+                before.add_milestones(batch)
+                after.add_milestones(batch)
+            for region in regions:
+                after.add_region(region)
+            np.testing.assert_allclose(before.scores(), after.scores(),
+                                       rtol=1e-15, atol=0.0)
 
 
 class TestMilestones:

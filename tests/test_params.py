@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from sprint_planner.params import BaselineParams, SprintParams
@@ -22,11 +25,13 @@ class TestSprintParams:
         p = SprintParams(lam=0.2, eta=0.05)
         assert p.eta_eff == 0.05
 
-    def test_with_overrides_returns_new_instance(self):
+    def test_replace_returns_new_validated_instance(self):
         p = SprintParams()
-        q = p.with_overrides(lam=0.01)
+        q = dataclasses.replace(p, lam=0.01)
         assert q.lam == 0.01
         assert p.lam == 0.05
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, lam=-0.01)
 
     @pytest.mark.parametrize("kwargs", [
         {"lam": 0.0},
@@ -39,6 +44,16 @@ class TestSprintParams:
         {"c_base": 0.0},
         {"max_total_samples": 0},
         {"ascent_iters": 3},
+        {"lam": math.nan},
+        {"kappa": math.nan},
+        {"c_base": math.nan},
+        {"w1_g": math.nan},
+        {"sigma_slack": math.nan},
+        {"eta": math.nan},
+        {"eta": 0.0},
+        {"eps_prog": -1.0},
+        {"eps_prog": math.nan},
+        {"lam": math.nan, "c_base": math.nan, "eps_prog": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,9 +66,12 @@ class TestBaselineParams:
         assert p.goal_bias == 0.05
 
     def test_step_positive(self):
-        with pytest.raises(ValueError):
-            BaselineParams(step=0.0)
+        for step in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                BaselineParams(step=step)
 
     def test_goal_bias_range(self):
         with pytest.raises(ValueError):
             BaselineParams(goal_bias=1.5)
+        with pytest.raises(ValueError):
+            BaselineParams(goal_bias=math.nan)
