@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Config, dist, polyline_length, unit
+from .geometry import Config, dist, polyline_length
 from .global_planner import PlanResult, PlanStatus
 from .params import BaselineParams
 from .world import CollisionOracle
+
+# Most random targets drawn ahead at once.  scipy's per-call overhead
+# dominates a single kd-tree query, so answering a block in one stacked query
+# is cheaper per target; a larger block wastes more draws and queries at the
+# end of a trial and on each rebuild that lands mid-block.
+TARGET_BLOCK = 128
+
+
+def _block_size(nodes: int) -> int:
+    """Targets to draw ahead for a tree of `nodes` nodes.  A small tree has
+    no scipy index to batch against yet, and a short trial should not pay
+    for draws it never uses, so a block holds at most a quarter of the tree
+    plus one."""
+    return min(TARGET_BLOCK, nodes // 4 + 1)
 
 
 class KdTree:
@@ -18,6 +33,12 @@ class KdTree:
 
     Backed by a periodically rebuilt scipy kd-tree plus a brute-force buffer
     of recent insertions, so queries stay exact while insertion stays cheap.
+
+    Callers that know their upcoming queries can `queue` them: `next_target`
+    hands them out in order, and the `nearest` call that follows answers the
+    kd-tree part of every queued target still ahead in one batched scipy
+    query.  The buffer scan stays per query, because the buffer grows between
+    queries.
     """
 
     def __init__(self, dim: int, rebuild_every: int = 256):
@@ -27,6 +48,14 @@ class KdTree:
         self._size = 0
         self._tree: cKDTree | None = None
         self._tree_size = 0
+        self._targets = np.empty((0, dim))
+        self._next = 0  # index of the next target next_target() hands out
+        self._pending: int | None = None  # target the next nearest() answers
+        # scipy answers for the targets from _batch_start on; stale once a
+        # rebuild or a new queue replaces what they were computed against
+        self._batch_d = self._batch_i = np.empty(0)
+        self._batch_start = 0
+        self._batch_fresh = False
 
     def __len__(self) -> int:
         return self._size
@@ -48,15 +77,47 @@ class KdTree:
         if self._size - self._tree_size >= self.rebuild_every:
             self._tree = cKDTree(self._pts[: self._size].copy())
             self._tree_size = self._size
+            self._batch_fresh = False
         return self._size - 1
+
+    def queue(self, targets: np.ndarray) -> None:
+        """Replace the queued targets with the rows of `targets`, (n, dim)."""
+        if targets.ndim != 2 or targets.shape[1] != self.dim:
+            raise ValueError("targets must be an (n, dim) array")
+        self._targets = targets
+        self._next = 0
+        self._pending = None
+        self._batch_fresh = False
+
+    @property
+    def queued(self) -> int:
+        """Queued targets that `next_target` has not handed out yet."""
+        return len(self._targets) - self._next
+
+    def next_target(self) -> Config:
+        """The next queued target; the next `nearest` call must be for it."""
+        if not self.queued:
+            raise IndexError("no queued target left")
+        self._pending = self._next
+        self._next += 1
+        return self._targets[self._pending]
 
     def nearest(self, q: Config) -> int:
         if self._size == 0:
             raise ValueError("nearest query on an empty tree")
         best_d = np.inf
         best_i = -1
+        k, self._pending = self._pending, None
         if self._tree is not None:
-            d, i = self._tree.query(q)
+            if k is None:
+                d, i = self._tree.query(q)
+            else:
+                if not self._batch_fresh:
+                    self._batch_d, self._batch_i = self._tree.query(self._targets[k:])
+                    self._batch_start = k
+                    self._batch_fresh = True
+                d = self._batch_d[k - self._batch_start]
+                i = self._batch_i[k - self._batch_start]
             best_d, best_i = float(d), int(i)
         if self._tree_size < self._size:
             buf = self._pts[self._tree_size : self._size]
@@ -70,7 +131,7 @@ class KdTree:
 
 def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
     diff = q_to - q_from
-    n = float(np.linalg.norm(diff))
+    n = math.sqrt(diff.dot(diff))  # np.linalg.norm's own formula, minus its overhead
     if n == 0.0:
         return None
     if n <= step:
@@ -115,10 +176,13 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
 
     path_pts = None
     while oracle.sample_count - start_count < params.max_samples:
-        if rng.random() < params.goal_bias:
-            q_rand = q_goal
-        else:
-            q_rand = rng.uniform(lo, hi)
+        if not kd.queued:
+            # per target, as per iteration before: a goal-bias draw, then a
+            # uniform draw unless the goal was picked
+            kd.queue(np.array([q_goal if rng.random() < params.goal_bias
+                               else rng.uniform(lo, hi)
+                               for _ in range(_block_size(len(kd)))]))
+        q_rand = kd.next_target()
         ni = kd.nearest(q_rand)
         q_new = _steer(configs[ni], q_rand, params.step)
         if q_new is None:
@@ -128,7 +192,7 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         configs.append(q_new)
         parents.append(ni)
         kd.insert(q_new)
-        edges.append(np.vstack([configs[ni], q_new]))
+        edges.append(np.array([configs[ni], q_new]))
         if dist(q_new, q_goal) <= params.step:
             pts = _chain_path(configs, parents, len(configs) - 1)
             if not np.array_equal(pts[-1], q_goal):
@@ -182,12 +246,22 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         if not oracle.is_free(q_new):
             return None
         idx = tree.add(q_new, ni)
-        edges.append(np.vstack([tree.configs[ni], q_new]))
+        edges.append(np.array([tree.configs[ni], q_new]))
         return idx
 
     path_pts = None
     while budget_left():
-        q_rand = rng.uniform(lo, hi)
+        if not ta.kd.queued:
+            # row i holds the values iteration i drew on its own before, from
+            # one call instead of 2n calls with array bounds.  Both queues get
+            # n rows and the trees swap every iteration, so the queues run dry
+            # together, with `ta` the start tree: even rows are its targets
+            # and odd rows the goal tree's
+            n = _block_size(len(ta.kd) + len(tb.kd))
+            block = rng.uniform(lo, hi, size=(2 * n, dim))
+            ta.kd.queue(block[0::2])
+            tb.kd.queue(block[1::2])
+        q_rand = ta.kd.next_target()
         ia = extend(ta, q_rand)
         if ia is not None:
             q_new = ta.configs[ia]
@@ -202,7 +276,7 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 if not oracle.is_free(q_step):
                     break
                 cur = tb.add(q_step, cur)
-                edges.append(np.vstack([tb.configs[tb.parents[cur]], q_step]))
+                edges.append(np.array([tb.configs[tb.parents[cur]], q_step]))
                 if np.array_equal(q_step, q_new):
                     ib = cur
                     break

@@ -11,6 +11,7 @@ import numpy as np
 
 from .bench import (AblationMode, PLANNER_IDS, delta_useful_ratio, resolve_scene,
                     run_grid, run_trial)
+from .geometry import as_config
 from .params import SprintParams, params_from_json
 from .scenes import FIXTURE_NAMES, fixture_endpoints
 
@@ -22,14 +23,20 @@ def _load_params(path: str | None) -> SprintParams:
         return params_from_json(json.load(f))
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")], dtype=float)
+def _parse_point(flag: str, text: str) -> np.ndarray:
+    try:
+        return as_config([float(x) for x in text.split(",")] if text.strip() else [])
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
 
 
 def cmd_plan(args) -> int:
     scene = resolve_scene(args.scene)
-    if args.start and args.goal:
-        start, goal = _parse_point(args.start), _parse_point(args.goal)
+    if (args.start is None) != (args.goal is None):
+        print("error: --start and --goal must be given together", file=sys.stderr)
+        return 2
+    if args.start is not None:
+        start, goal = _parse_point("--start", args.start), _parse_point("--goal", args.goal)
     elif args.scene in FIXTURE_NAMES:
         start, goal = fixture_endpoints(args.scene)
     else:

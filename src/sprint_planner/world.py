@@ -8,6 +8,7 @@ by exactly one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,9 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        # written so that NaN fails it too
+        if not 0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -152,26 +154,42 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def scene_from_dict(data: dict) -> Scene:
+def _field(data: dict, key: str, convert):
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
     try:
-        name = data["name"]
-        lower = as_config(data["lower"])
-        upper = as_config(data["upper"])
-    except KeyError as e:
-        raise ValueError(f"scene file missing field {e.args[0]!r}") from None
+        return convert(data[key])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"field {key!r}: {e}") from None
+
+
+def scene_from_dict(data: dict) -> Scene:
+    """Build a scene from its JSON form; any malformed part raises a
+    ValueError that names the offending field."""
+    if not isinstance(data, dict):
+        raise ValueError("scene file must hold a JSON object")
+    name = _field(data, "name", str)
+    lower = _field(data, "lower", as_config)
+    upper = _field(data, "upper", as_config)
+    entries = data.get("obstacles", [])
+    if not isinstance(entries, list):
+        raise ValueError("field 'obstacles' must be a list")
     obstacles = []
-    for i, entry in enumerate(data.get("obstacles", [])):
-        where = f"obstacles[{i}]"
-        kind = entry.get("type")
+    for i, entry in enumerate(entries):
         try:
+            if not isinstance(entry, dict):
+                raise ValueError("obstacle must be a JSON object")
+            kind = entry.get("type")
             if kind == "box":
-                obstacles.append(Box(as_config(entry["min"]), as_config(entry["max"])))
+                obstacles.append(Box(_field(entry, "min", as_config),
+                                     _field(entry, "max", as_config)))
             elif kind == "sphere":
-                obstacles.append(Sphere(as_config(entry["center"]), float(entry["radius"])))
+                obstacles.append(Sphere(_field(entry, "center", as_config),
+                                        _field(entry, "radius", float)))
             else:
                 raise ValueError(f"unknown obstacle type {kind!r}")
-        except (KeyError, ValueError) as e:
-            raise ValueError(f"{where}: {e}") from None
+        except ValueError as e:
+            raise ValueError(f"obstacles[{i}]: {e}") from None
     return Scene(name=name, lower=lower, upper=upper, obstacles=tuple(obstacles))
 
 

@@ -64,6 +64,138 @@ class TestKdTree:
             kd.point(1)
 
 
+def scan(pts, q):
+    return int(np.argmin(np.sum((np.array(pts) - q) ** 2, axis=1)))
+
+
+class TestKdTreeQueue:
+    def test_queued_answers_match_direct_query_and_scan(self):
+        # random block lengths and ~0.7 inserts per query put rebuilds
+        # (every 16 inserts) anywhere in a block
+        rng = np.random.default_rng(2)
+        queued, direct = KdTree(3, rebuild_every=16), KdTree(3, rebuild_every=16)
+        pts = []
+        for _ in range(12):
+            queued.queue(rng.uniform(0, 1, size=(int(rng.integers(1, 30)), 3)))
+            while queued.queued:
+                if not pts or rng.random() < 0.7:
+                    p = rng.uniform(0, 1, 3)
+                    pts.append(p)
+                    queued.insert(p)
+                    direct.insert(p)
+                q = queued.next_target()
+                assert queued.nearest(q) == direct.nearest(q) == scan(pts, q)
+        assert len(pts) > 100
+
+    def test_rebuild_mid_block_reanswers_remaining_targets(self):
+        kd = KdTree(2, rebuild_every=16)
+        pts = [np.array([0.9 + 0.005 * i, 0.9]) for i in range(16)]
+        for p in pts:
+            kd.insert(p)  # the 16th insert builds the scipy index
+        rng = np.random.default_rng(3)
+        targets = rng.uniform(0, 0.2, size=(8, 2))
+        kd.queue(targets)
+        for _ in range(2):
+            q = kd.next_target()
+            assert kd.nearest(q) == scan(pts, q)
+        # a full rebuild period lands mid-block: afterwards the buffer is
+        # empty and every answer must come from the new index
+        for p in rng.uniform(0, 0.2, size=(16, 2)):
+            pts.append(p)
+            kd.insert(p)
+        while kd.queued:
+            q = kd.next_target()
+            got = kd.nearest(q)
+            assert got == scan(pts, q) and got >= 16
+
+    def test_unqueued_queries_interleave_with_queued_ones(self):
+        rng = np.random.default_rng(4)
+        kd = KdTree(2, rebuild_every=16)
+        pts = [rng.uniform(0, 1, 2) for _ in range(40)]
+        for p in pts:
+            kd.insert(p)
+        kd.queue(rng.uniform(0, 1, size=(20, 2)))
+        while kd.queued:
+            q = kd.next_target()
+            assert kd.nearest(q) == scan(pts, q)
+            for _ in range(int(rng.integers(0, 3))):
+                other = rng.uniform(0, 1, 2)
+                assert kd.nearest(other) == scan(pts, other)
+            p = rng.uniform(0, 1, 2)
+            pts.append(p)
+            kd.insert(p)
+
+    def test_repeated_target_in_a_block(self):
+        # goal bias queues the same goal configuration several times
+        rng = np.random.default_rng(5)
+        goal = np.array([0.5, 0.5])
+        kd = KdTree(2, rebuild_every=16)
+        pts = [rng.uniform(0, 1, 2) for _ in range(20)]
+        for p in pts:
+            kd.insert(p)
+        kd.queue(np.array([goal, rng.uniform(0, 1, 2), goal, goal, goal]))
+        answers = []
+        for step in range(5):
+            q = kd.next_target()
+            answers.append(kd.nearest(q))
+            assert answers[-1] == scan(pts, q)
+            # move ever closer to the goal, so each repeat has a new answer
+            p = goal + 1e-3 / (step + 1)
+            pts.append(p)
+            kd.insert(p)
+        assert answers[2:] == [21, 22, 23]
+
+    def test_queue_checks_shape_and_exhaustion(self):
+        kd = KdTree(2)
+        with pytest.raises(ValueError):
+            kd.queue(np.zeros((3, 3)))
+        kd.queue(np.zeros((1, 2)))
+        kd.next_target()
+        with pytest.raises(IndexError):
+            kd.next_target()
+
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
+    def test_rrt_consumes_the_per_iteration_draw_sequence(self, monkeypatch, goal_bias):
+        seen = []
+        plain = KdTree.nearest
+
+        def recording(self, q):
+            seen.append(np.array(q))
+            return plain(self, q)
+
+        monkeypatch.setattr(KdTree, "nearest", recording)
+        oracle = wall_oracle()
+        start, goal = np.array([0.1, 0.5]), np.array([0.9, 0.5])
+        p = BaselineParams(step=0.01, max_samples=1500, goal_bias=goal_bias)
+        rrt_plan(start, goal, oracle, p, np.random.default_rng(6))
+        # the targets RRT drew one per iteration before they were drawn ahead
+        rng = np.random.default_rng(6)
+        lo, hi = oracle.scene.lower, oracle.scene.upper
+        expect = [goal if rng.random() < goal_bias else rng.uniform(lo, hi)
+                  for _ in seen]
+        assert len(seen) > 300
+        np.testing.assert_array_equal(np.array(seen), np.array(expect))
+
+    def test_rrt_connect_consumes_the_per_iteration_draw_sequence(self, monkeypatch):
+        seen = []
+        plain = KdTree.next_target
+
+        def recording(self):
+            seen.append(np.array(plain(self)))
+            return seen[-1]
+
+        monkeypatch.setattr(KdTree, "next_target", recording)
+        oracle = wall_oracle()
+        p = BaselineParams(step=0.01, max_samples=3000)
+        rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
+                         np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        lo, hi = oracle.scene.lower, oracle.scene.upper
+        expect = [rng.uniform(lo, hi) for _ in seen]
+        assert len(seen) > 300
+        np.testing.assert_array_equal(np.array(seen), np.array(expect))
+
+
 def path_checks(res, start, goal, step):
     np.testing.assert_allclose(res.path[0], start)
     np.testing.assert_allclose(res.path[-1], goal)

@@ -1,11 +1,14 @@
-"""Fixed-seed SPRINT outcomes: the default planner on the high-dimensional
-fixtures, and the uniform region choice (`sprint:no-pr1`, the scorer's
-select_random path) on a 2-D and a 10-D fixture.
+"""Fixed-seed outcomes: the default SPRINT planner on the high-dimensional
+fixtures, the uniform region choice (`sprint:no-pr1`, the scorer's
+select_random path) on a 2-D and a 10-D fixture, and both baselines on the
+same two fixtures.
 
-A change to the local or global layer that is meant to keep behaviour must
-keep these (status, total_samples) pairs; they catch trajectory drift in
-seconds, without the acceptance grids.
+A change that is meant to keep behaviour must keep these (status,
+total_samples) pairs, and for the baselines also the path bytes; they catch
+trajectory drift in seconds, without the acceptance grids.
 """
+
+import hashlib
 
 import pytest
 
@@ -27,17 +30,37 @@ PINNED_RANDOM_SELECT = {
                      ("Solved", 8000), ("Solved", 2155)],
 }
 
+# (status, total_samples, first 16 hex digits of sha256(path.tobytes()))
+PINNED_BASELINES = {
+    ("rrt", "narrow_passage_2d"): [
+        ("Solved", 1531, "f557da0a05966145"), ("Solved", 2713, "631c0aa1de924b9d"),
+        ("Solved", 10786, "15f113de820b3fc4"), ("Solved", 6178, "d6ff5b5b3dcbc9fe"),
+        ("Solved", 1335, "77744ff4a4616aa9")],
+    ("rrt", "box_maze_10d"): [
+        ("Solved", 3392, "2c2084e24ab980fa"), ("Solved", 38370, "d18c05ba7fe0ae10"),
+        ("Solved", 3683, "4ac965df5e0b5f7d"), ("Solved", 2171, "222c997924e3c24a"),
+        ("Solved", 2790, "c649286c5f7db421")],
+    ("rrt-connect", "narrow_passage_2d"): [
+        ("Solved", 797, "ae61411a68d9af53"), ("Solved", 934, "98e5e7b3d835961f"),
+        ("Solved", 2487, "d13dad6a1c65f66c"), ("Solved", 616, "53f0e113d3bba087"),
+        ("Solved", 8575, "5ac23269ed8145ac")],
+    ("rrt-connect", "box_maze_10d"): [
+        ("Solved", 24910, "020f3051765ec5d0"), ("Solved", 4397, "7067371f685a676e"),
+        ("Solved", 2720, "1f350ebba307e57e"), ("Solved", 23162, "bd18b774a02d60ce"),
+        ("Solved", 32499, "f3a79a8cba70d0d2")],
+}
 
-def _outcomes(planner, name):
+
+def _trials(planner, name):
     scene = fixture_scene(name)
     start, goal = fixture_endpoints(name)
     params = SprintParams(lam=fixture_lam(name))
-    got = []
-    for seed in range(5):
-        rec = run_trial(planner, scene, start, goal, seed, params, 50_000,
-                        record_samples=False)[0]
-        got.append((rec.status, rec.total_samples))
-    return got
+    return [run_trial(planner, scene, start, goal, seed, params, 50_000,
+                      record_samples=False)[:2] for seed in range(5)]
+
+
+def _outcomes(planner, name):
+    return [(rec.status, rec.total_samples) for rec, _ in _trials(planner, name)]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -48,3 +71,11 @@ def test_sprint_outcomes_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(PINNED_RANDOM_SELECT))
 def test_random_region_selection_is_pinned(name):
     assert _outcomes("sprint:no-pr1", name) == PINNED_RANDOM_SELECT[name]
+
+
+@pytest.mark.parametrize("planner, name", sorted(PINNED_BASELINES))
+def test_baseline_trajectories_are_pinned(planner, name):
+    got = [(rec.status, rec.total_samples,
+            hashlib.sha256(res.path.tobytes()).hexdigest()[:16])
+           for rec, res in _trials(planner, name)]
+    assert got == PINNED_BASELINES[planner, name]

@@ -56,6 +56,41 @@ class TestPlanCommand:
         assert rc == 2
         assert "--start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, needle", [
+        ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": '
+         '[{"type": "sphere", "center": [0.5, 0.5], "radius": NaN}]}', "radius"),
+        ("[1, 2]", "JSON object"),
+        ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": [5]}',
+         "obstacles[0]"),
+    ])
+    def test_bad_scene_file_is_a_one_line_error(self, tmp_path, capsys, text, needle):
+        scene = tmp_path / "scene.json"
+        scene.write_text(text, encoding="utf-8")
+        rc = main(["plan", "--scene", str(scene), "--start", "0.1,0.1",
+                   "--goal", "0.9,0.9"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("start, needle", [
+        ("0.1,nan", "non-finite"),
+        ("0.1,inf", "non-finite"),
+        ("", "nonempty"),
+        ("0.1,x", "could not convert"),
+    ])
+    def test_bad_endpoint_is_a_one_line_error(self, capsys, start, needle):
+        rc = main(["plan", "--scene", "empty_2d", "--start", start, "--goal", "0.9,0.9"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --start: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_start_without_goal_is_an_error(self, capsys):
+        rc = main(["plan", "--scene", "empty_2d", "--start", "0.2,0.2"])
+        assert rc == 2
+        assert "--goal" in capsys.readouterr().err
+
     def test_bad_planner_rejected(self):
         with pytest.raises(SystemExit):
             main(["plan", "--scene", "empty_2d", "--planner", "astar"])

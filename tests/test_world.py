@@ -33,6 +33,12 @@ class TestObstacles:
         with pytest.raises(ValueError):
             Sphere(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+    def test_sphere_radius_must_be_finite(self, radius):
+        # a NaN radius would give a sphere that never collides
+        with pytest.raises(ValueError, match="radius"):
+            Sphere(np.zeros(2), radius)
+
 
 class TestScene:
     def test_bounds_must_be_ordered(self):
@@ -134,6 +140,34 @@ class TestSerialization:
         data = {"name": "x", "lower": [0, 0], "upper": [1, 1],
                 "obstacles": [{"type": "cone", "apex": [0, 0]}]}
         with pytest.raises(ValueError, match=r"obstacles\[0\]"):
+            scene_from_dict(data)
+
+    def test_nan_radius_in_scene_file_rejected(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": '
+                        '[{"type": "sphere", "center": [0.5, 0.5], "radius": NaN}]}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"obstacles\[0\]: .*radius"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("data, needle", [
+        ([1, 2], "JSON object"),
+        ("scene", "JSON object"),
+        ({"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": [5]},
+         r"obstacles\[0\]: obstacle must be a JSON object"),
+        ({"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": {"type": "box"}},
+         "'obstacles' must be a list"),
+        ({"name": "x", "lower": {"a": 0}, "upper": [1, 1]}, "'lower'"),
+        ({"name": "x", "lower": [0, 0], "upper": "high"}, "'upper'"),
+        ({"name": "x", "lower": [0, 0], "upper": [1, 1],
+          "obstacles": [{"type": "sphere", "center": [0.5, 0.5], "radius": [1]}]},
+         r"obstacles\[0\]: field 'radius'"),
+        ({"name": "x", "lower": [0, 0], "upper": [1, 1],
+          "obstacles": [{"type": "box", "min": [0, 0]}]},
+         r"obstacles\[0\]: missing field 'max'"),
+    ])
+    def test_malformed_scene_names_the_field(self, data, needle):
+        with pytest.raises(ValueError, match=needle):
             scene_from_dict(data)
 
     def test_invalid_json_reports_path(self, tmp_path):
