@@ -157,6 +157,36 @@ def _result(path_pts: list[Config] | None, total: int, t0: float) -> PlanResult:
     return PlanResult(PlanStatus.SOLVED, path, total, wall, polyline_length(path))
 
 
+def _rrt_targets(rng: np.random.Generator, n: int, lo: Config, hi: Config,
+                 q_goal: Config, goal_bias: float,
+                 carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next n RRT targets and the doubles left over for the next block.
+
+    Per target, RRT takes a goal-bias draw and then, unless the goal was
+    picked, a uniform draw in [lo, hi).  `Generator.uniform` is
+    `lo + (hi - lo) * u` over one `random` double per coordinate, so one
+    `random` call for the most doubles n targets can use, decoded in stream
+    order after the doubles `carry` kept from the block before, gives the
+    same targets bit for bit.
+    """
+    d = len(lo)
+    u = np.concatenate((carry, rng.random(max(0, n * (1 + d) - len(carry)))))
+    flags = u.tolist()
+    starts = []  # index of each target's first coordinate double, -1 for the goal
+    k = 0
+    for _ in range(n):
+        if flags[k] < goal_bias:
+            starts.append(-1)
+            k += 1
+        else:
+            starts.append(k + 1)
+            k += 1 + d
+    starts = np.array(starts)
+    targets = lo + (hi - lo) * u[np.maximum(starts, 0)[:, None] + np.arange(d)]
+    targets[starts < 0] = q_goal
+    return targets, u[k:]
+
+
 def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
              params: BaselineParams, rng: np.random.Generator) -> PlanResult:
     """Goal-biased RRT with fixed-step extension and per-step point checks."""
@@ -175,13 +205,12 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     edges: list[np.ndarray] = []
 
     path_pts = None
+    carry = np.empty(0)
     while oracle.sample_count - start_count < params.max_samples:
         if not kd.queued:
-            # per target, as per iteration before: a goal-bias draw, then a
-            # uniform draw unless the goal was picked
-            kd.queue(np.array([q_goal if rng.random() < params.goal_bias
-                               else rng.uniform(lo, hi)
-                               for _ in range(_block_size(len(kd)))]))
+            targets, carry = _rrt_targets(rng, _block_size(len(kd)), lo, hi,
+                                          q_goal, params.goal_bias, carry)
+            kd.queue(targets)
         q_rand = kd.next_target()
         ni = kd.nearest(q_rand)
         q_new = _steer(configs[ni], q_rand, params.step)

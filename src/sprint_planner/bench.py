@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
 import statistics
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import baselines, global_planner
 from .geometry import Config, unit
@@ -58,26 +60,40 @@ def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
     solution path (point-to-segment distance with clamped projection)."""
     if not samples:
         raise ValueError("delta_useful_ratio requires a nonempty sample list")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[0] < 2:
         raise ValueError("path must be an (n, d) polyline with n >= 2")
     free_pts = np.array([q for q, free in samples if free])
     if free_pts.size == 0:
         return 0.0
+    if not (np.isfinite(path).all() and np.isfinite(free_pts).all()):
+        raise ValueError("path and samples must be finite")
     a = path[:-1]
     seg = path[1:] - a
     seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    # Prune: a point within delta of a segment lies within delta + |seg|/2 of
+    # its midpoint.  The slack, relative to the distances and to the size of
+    # the coordinates, keeps every pair whose rounded distance below can
+    # still come out <= delta.
+    scale = max(np.abs(path).max(), np.abs(free_pts).max())
+    reach = (delta + 0.5 * np.sqrt(seg_len2)) * (1.0 + 1e-9) + 1e-9 * scale
+    near = cKDTree(free_pts).query_ball_point(a + 0.5 * seg, reach)
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    pi = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                     count=int(counts.sum()))
+    si = np.repeat(np.arange(len(seg)), counts)
+    # Decide each (sample, segment) pair by the all-pairs formula, reducing
+    # over the contiguous last axis, so each pair rounds as it would there:
+    # samples at exactly delta are common (straight-line extensions put them
+    # at 2*lam) and rounding decides them.
     seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    useful = 0
-    # chunk over samples to bound the (samples x segments) intermediate
-    for chunk in np.array_split(free_pts, max(1, len(free_pts) // 2048)):
-        rel = chunk[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("kij,ij->ki", rel, seg) / seg_len2, 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-        d2 = np.sum((chunk[:, None, :] - closest) ** 2, axis=2)
-        useful += int(np.count_nonzero(np.min(d2, axis=1) <= delta * delta))
+    p, a, seg = free_pts[pi], a[si], seg[si]
+    t = np.clip(np.einsum("ij,ij->i", p - a, seg) / seg_len2[si], 0.0, 1.0)
+    closest = a + t[:, None] * seg
+    d2 = np.sum((p - closest) ** 2, axis=1)
+    useful = np.unique(pi[d2 <= delta * delta]).size
     return useful / len(samples)
 
 

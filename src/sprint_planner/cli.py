@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (AblationMode, PLANNER_IDS, delta_useful_ratio, resolve_scene,
-                    run_grid, run_trial)
+from .bench import AblationMode, PLANNER_IDS, resolve_scene, run_grid, run_trial
 from .geometry import as_config
 from .params import SprintParams, params_from_json
+from .render import check_renderable, render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints
 
 
@@ -32,6 +32,8 @@ def _parse_point(flag: str, text: str) -> np.ndarray:
 
 def cmd_plan(args) -> int:
     scene = resolve_scene(args.scene)
+    if args.svg:
+        check_renderable(scene)  # before the trial, not after it
     if (args.start is None) != (args.goal is None):
         print("error: --start and --goal must be given together", file=sys.stderr)
         return 2
@@ -53,7 +55,6 @@ def cmd_plan(args) -> int:
           f"path_length={record.path_length:.6g} wall_time={record.wall_time_s:.3f}s "
           f"delta_useful_ratio={'' if record.delta_useful_ratio is None else f'{record.delta_useful_ratio:.4f}'}")
     if args.svg:
-        from .render import render_svg
         svg = render_svg(scene, oracle.samples, result.tree_edges, result.path,
                          result.total_samples)
         Path(args.svg).write_text(svg, encoding="utf-8")

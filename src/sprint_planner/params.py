@@ -107,3 +107,5 @@ class BaselineParams:
             raise ValueError("step must be positive")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must lie in [0, 1]")
+        if not self.max_samples > 0:
+            raise ValueError("max_samples must be positive")

@@ -14,6 +14,12 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def check_renderable(scene: Scene) -> None:
+    """Raise ValueError unless `render_svg` can draw the scene."""
+    if scene.dim != 2:
+        raise ValueError(f"SVG rendering supports 2-D scenes only, got d={scene.dim}")
+
+
 def render_svg(scene: Scene, samples=None, tree_edges=None, path=None,
                total_samples: int | None = None) -> str:
     """Render a 2-D scene with oracle samples, tree edges, and the final path.
@@ -21,8 +27,7 @@ def render_svg(scene: Scene, samples=None, tree_edges=None, path=None,
     samples is a list of (config, free) pairs; tree_edges a list of (n, 2)
     polylines; path an (n, 2) polyline or None.
     """
-    if scene.dim != 2:
-        raise ValueError(f"SVG rendering supports 2-D scenes only, got d={scene.dim}")
+    check_renderable(scene)
     lo, hi = scene.lower, scene.upper
     span = hi - lo
     scale = (_SIZE - 2 * _MARGIN) / float(np.max(span))

@@ -1,9 +1,9 @@
 """Scalar and list-based reference implementations, kept as test oracles.
 
-The planner runs the vectorized forms: `_PairSelector` for region selection
-and `local_planner.grad_g3` for the repulsion.  The plain versions here
-recompute everything from scratch and are what the equivalence tests
-compare those against.
+The library runs the fast forms: `_PairSelector` for region selection,
+`local_planner.grad_g3` for the repulsion and the kd-tree-pruned
+`bench.delta_useful_ratio`.  The plain versions here recompute everything
+from scratch and are what the equivalence tests compare those against.
 """
 
 from __future__ import annotations
@@ -115,3 +115,26 @@ def select_region(tree: RegionState, q_goal: Config, params: SprintParams) -> tu
     """Best unattempted (global node, milestone) pair under the region heuristic."""
     ni, mi = select_pair(tree, q_goal, params)
     return tree.nodes[ni], tree.milestones[mi]
+
+
+def delta_useful_ratio_all_pairs(samples: list[tuple[Config, bool]], path: np.ndarray,
+                                 delta: float) -> float:
+    """`bench.delta_useful_ratio` measured on every (free sample, segment)
+    pair, without pruning."""
+    path = np.asarray(path, dtype=float)
+    free_pts = np.array([q for q, free in samples if free])
+    if free_pts.size == 0:
+        return 0.0
+    a = path[:-1]
+    seg = path[1:] - a
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    useful = 0
+    # chunk over samples to bound the (samples x segments) intermediate
+    for chunk in np.array_split(free_pts, max(1, len(free_pts) // 2048)):
+        rel = chunk[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("kij,ij->ki", rel, seg) / seg_len2, 0.0, 1.0)
+        closest = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+        d2 = np.sum((chunk[:, None, :] - closest) ** 2, axis=2)
+        useful += int(np.count_nonzero(np.min(d2, axis=1) <= delta * delta))
+    return useful / len(samples)

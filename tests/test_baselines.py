@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sprint_planner.baselines import KdTree, rrt_connect_plan, rrt_plan
+from sprint_planner.baselines import KdTree, _rrt_targets, rrt_connect_plan, rrt_plan
 from sprint_planner.global_planner import PlanStatus
 from sprint_planner.params import BaselineParams
 from sprint_planner.world import Box, CollisionOracle, Scene
@@ -154,8 +154,8 @@ class TestKdTreeQueue:
         with pytest.raises(IndexError):
             kd.next_target()
 
-    @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
-    def test_rrt_consumes_the_per_iteration_draw_sequence(self, monkeypatch, goal_bias):
+    @staticmethod
+    def check_rrt_draws(monkeypatch, oracle, start, goal, p):
         seen = []
         plain = KdTree.nearest
 
@@ -164,17 +164,42 @@ class TestKdTreeQueue:
             return plain(self, q)
 
         monkeypatch.setattr(KdTree, "nearest", recording)
-        oracle = wall_oracle()
-        start, goal = np.array([0.1, 0.5]), np.array([0.9, 0.5])
-        p = BaselineParams(step=0.01, max_samples=1500, goal_bias=goal_bias)
         rrt_plan(start, goal, oracle, p, np.random.default_rng(6))
         # the targets RRT drew one per iteration before they were drawn ahead
         rng = np.random.default_rng(6)
         lo, hi = oracle.scene.lower, oracle.scene.upper
-        expect = [goal if rng.random() < goal_bias else rng.uniform(lo, hi)
+        expect = [goal if rng.random() < p.goal_bias else rng.uniform(lo, hi)
                   for _ in seen]
         assert len(seen) > 300
         np.testing.assert_array_equal(np.array(seen), np.array(expect))
+
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
+    def test_rrt_consumes_the_per_iteration_draw_sequence(self, monkeypatch, goal_bias):
+        p = BaselineParams(step=0.01, max_samples=1500, goal_bias=goal_bias)
+        self.check_rrt_draws(monkeypatch, wall_oracle(), np.array([0.1, 0.5]),
+                             np.array([0.9, 0.5]), p)
+
+    @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
+    def test_rrt_draw_sequence_in_10d(self, monkeypatch, goal_bias):
+        p = BaselineParams(step=0.005, max_samples=1500, goal_bias=goal_bias)
+        self.check_rrt_draws(monkeypatch, empty_oracle(10), np.full(10, 0.1),
+                             np.full(10, 0.9), p)
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_rrt_target_blocks_carry_unused_doubles(self, d):
+        # a goal pick uses one double instead of 1 + d, so a block leaves
+        # doubles over, and the next block must decode them first
+        lo, hi, goal = np.full(d, -0.5), np.linspace(0.5, 2.0, d), np.full(d, 0.25)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        carry, got, carried = np.empty(0), [], []
+        for n in (1, 2, 3, 5, 8, 13, 21, 34):
+            carried.append(len(carry))
+            targets, carry = _rrt_targets(rng, n, lo, hi, goal, 0.3, carry)
+            assert targets.shape == (n, d)
+            got.extend(targets)
+        expect = [goal if ref.random() < 0.3 else ref.uniform(lo, hi) for _ in got]
+        np.testing.assert_array_equal(np.array(got), np.array(expect))
+        assert sum(c > 0 for c in carried) >= 4
 
     def test_rrt_connect_consumes_the_per_iteration_draw_sequence(self, monkeypatch):
         seen = []

@@ -4,10 +4,12 @@ select_random path) on a 2-D and a 10-D fixture, and both baselines on the
 same two fixtures.
 
 A change that is meant to keep behaviour must keep these (status,
-total_samples) pairs, and for the baselines also the path bytes; they catch
-trajectory drift in seconds, without the acceptance grids.
+total_samples) pairs, for the baselines also the path bytes, and the exact
+delta-useful ratio of all three planners on those two fixtures; they catch
+trajectory and metric drift in seconds, without the acceptance grids.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -51,12 +53,39 @@ PINNED_BASELINES = {
 }
 
 
+# repr of delta_useful_ratio, seeds 0-4.  Free samples at exactly 2*lam from
+# the path are common and rounding decides them, so these catch a change to
+# how the metric's distances are computed as well as trajectory drift.
+PINNED_RATIOS = {
+    ("sprint", "narrow_passage_2d"): [
+        "0.7953795379537953", "0.7887788778877888", "0.7934426229508197",
+        "0.7785016286644951", "0.7908496732026143"],
+    ("sprint", "box_maze_10d"): [
+        "0.038082083662194156", "0.03814064362336114", "0.03812445223488168",
+        "0.021202064896755163", "0.027991886409736308"],
+    ("rrt", "narrow_passage_2d"): [
+        "0.26192031352057477", "0.1629192775525249", "0.06564064528091972",
+        "0.09533829718355455", "0.2861423220973783"],
+    ("rrt", "box_maze_10d"): [
+        "0.029775943396226415", "0.004039614281991139", "0.03366820526744502",
+        "0.0391524643021649", "0.02939068100358423"],
+    ("rrt-connect", "narrow_passage_2d"): [
+        "0.38017565872020076", "0.33190578158458245", "0.12947326095697628",
+        "0.47564935064935066", "0.05422740524781341"],
+    ("rrt-connect", "box_maze_10d"): [
+        "0.00630268968285829", "0.02660905162610871", "0.03676470588235294",
+        "0.005742163889128745", "0.004400135388781193"],
+}
+
+
+@functools.cache
 def _trials(planner, name):
+    # the sample log changes no trajectory, and keeping it gives the ratio
     scene = fixture_scene(name)
     start, goal = fixture_endpoints(name)
     params = SprintParams(lam=fixture_lam(name))
-    return [run_trial(planner, scene, start, goal, seed, params, 50_000,
-                      record_samples=False)[:2] for seed in range(5)]
+    return [run_trial(planner, scene, start, goal, seed, params, 50_000)[:2]
+            for seed in range(5)]
 
 
 def _outcomes(planner, name):
@@ -79,3 +108,9 @@ def test_baseline_trajectories_are_pinned(planner, name):
             hashlib.sha256(res.path.tobytes()).hexdigest()[:16])
            for rec, res in _trials(planner, name)]
     assert got == PINNED_BASELINES[planner, name]
+
+
+@pytest.mark.parametrize("planner, name", sorted(PINNED_RATIOS))
+def test_delta_useful_ratios_are_pinned(planner, name):
+    got = [repr(rec.delta_useful_ratio) for rec, _ in _trials(planner, name)]
+    assert got == PINNED_RATIOS[planner, name]

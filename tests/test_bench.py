@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -9,8 +10,10 @@ from sprint_planner.bench import (AblationMode, CSV_HEADER, apply_ablation,
                                   delta_useful_ratio, record_row, resolve_scene,
                                   run_grid, run_trial, write_csv)
 from sprint_planner.params import SprintParams
-from sprint_planner.scenes import fixture_endpoints, fixture_scene
+from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
 from sprint_planner.world import save_scene, Scene
+
+from reference import delta_useful_ratio_all_pairs
 
 
 class TestDeltaUsefulRatio:
@@ -47,12 +50,155 @@ class TestDeltaUsefulRatio:
             delta_useful_ratio([], self.straight_path(), delta=0.1)
 
     def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            delta_useful_ratio([(np.zeros(2), True)], self.straight_path(), delta=0.0)
+        # NaN fails no `<= 0` check, and inf would count every free sample
+        for delta in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                delta_useful_ratio([(np.zeros(2), True)], self.straight_path(), delta=delta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            delta_useful_ratio([(np.array([0.5, bad]), True)], self.straight_path(), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            delta_useful_ratio([(np.zeros(2), True)], np.array([[0.0, 0.0], [bad, 1.0]]), 0.1)
 
     def test_single_point_path_rejected(self):
         with pytest.raises(ValueError):
             delta_useful_ratio([(np.zeros(2), True)], np.array([[0.0, 0.0]]), delta=0.1)
+
+
+def assert_matches_all_pairs(samples, path, delta):
+    """The pruned ratio equals the all-pairs one exactly, and returns it."""
+    got = delta_useful_ratio(samples, path, delta)
+    assert got == delta_useful_ratio_all_pairs(samples, path, delta)
+    return got
+
+
+def near_path_samples(rng, path, n, spread):
+    """n samples scattered about `spread` away from random points of the
+    polyline, about a fifth of them marked colliding."""
+    d = path.shape[1]
+    i = rng.integers(0, len(path) - 1, n)
+    t = rng.uniform(-0.2, 1.2, n)[:, None]
+    pts = path[i] + t * (path[i + 1] - path[i]) + rng.normal(scale=spread / math.sqrt(d), size=(n, d))
+    return [(q, bool(free)) for q, free in zip(pts, rng.random(n) > 0.2)]
+
+
+class TestDeltaUsefulMatchesAllPairs:
+    """The kd-tree pruning may only skip pairs that cannot decide a sample:
+    every ratio must equal the all-pairs reference bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_random_polylines(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            lam = float(rng.uniform(0.01, 0.2))
+            path = np.cumsum(rng.normal(scale=lam, size=(int(rng.integers(2, 60)), d)), axis=0)
+            samples = near_path_samples(rng, path, int(rng.integers(1, 400)), 2 * lam)
+            assert_matches_all_pairs(samples, path, 2 * lam)
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_zero_length_segments(self, d):
+        rng = np.random.default_rng(10 + d)
+        path = np.repeat(np.cumsum(rng.normal(scale=0.05, size=(8, d)), axis=0), 2, axis=0)
+        samples = near_path_samples(rng, path, 300, 0.1)
+        assert assert_matches_all_pairs(samples, path, 0.1) > 0.0
+        # a path of one point twice: the distance to that point decides
+        point = np.zeros((2, d))
+        samples = [(q, True) for q in rng.normal(scale=0.1 / math.sqrt(d), size=(200, d))]
+        assert 0.0 < assert_matches_all_pairs(samples, point, 0.1) < 1.0
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_single_segment_path(self, d):
+        rng = np.random.default_rng(20 + d)
+        path = rng.uniform(0, 1, size=(2, d))
+        samples = near_path_samples(rng, path, 500, 0.3)
+        assert 0.0 < assert_matches_all_pairs(samples, path, 0.2) < 1.0
+
+    def test_samples_exactly_at_delta_on_dyadic_coordinates(self):
+        delta = 0.125
+        path = np.array([[0.25, 0.5], [0.75, 0.5], [0.75, 1.0], [0.25, 1.0]])
+        on_edge = [[x, 0.5 - delta] for x in np.arange(0.25, 0.8, 0.0625)]
+        on_caps = [[0.25 - delta, 0.5], [0.75 + delta, 0.75], [0.25 - delta, 1.0],
+                   [0.5, 1.0 + delta], [0.25, 1.0 + delta]]
+        samples = [(np.array(q), True) for q in on_edge + on_caps]
+        assert assert_matches_all_pairs(samples, path, delta) == 1.0
+        # the same in 6-D and 10-D, offset along axes the path does not use
+        for d in (6, 10):
+            path_d = np.hstack([path, np.zeros((len(path), d - 2))])
+            samples_d = [(np.concatenate([q, np.zeros(d - 3), [delta]]), True)
+                         for q in path[[0, 1, 3]]]
+            assert assert_matches_all_pairs(samples_d, path_d, delta) == 1.0
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_samples_at_delta_in_floating_point(self, d):
+        # one step of length delta from a path point, as a straight-line
+        # extension leaves a sample: in exact arithmetic at distance delta,
+        # so the rounding of each step of the formula decides it
+        rng = np.random.default_rng(50 + d)
+        delta = 0.1
+        ratios = []
+        for _ in range(20):
+            path = rng.uniform(0, 1, size=(4, d))
+            seg = np.diff(path, axis=0)
+            i = rng.integers(0, 3, 300)
+            out = rng.normal(size=(300, d))
+            # past an end cap (first half) or square to a segment's interior
+            cap = np.arange(300) < 150
+            out[cap] *= np.sign(np.einsum("ij,ij->i", out[cap], seg[i[cap]]))[:, None]
+            mid = ~cap
+            out[mid] -= (np.einsum("ij,ij->i", out[mid], seg[i[mid]])
+                         / np.einsum("ij,ij->i", seg[i[mid]], seg[i[mid]]))[:, None] * seg[i[mid]]
+            out /= np.linalg.norm(out, axis=1)[:, None]
+            base = np.where(cap[:, None], path[i + 1], path[i] + rng.random((300, 1)) * seg[i])
+            samples = [(q, True) for q in base + delta * out]
+            ratios.append(assert_matches_all_pairs(samples, path, delta))
+        assert 0.0 < min(ratios) and max(ratios) < 1.0
+
+    def test_samples_just_past_an_end_cap(self):
+        delta = 0.125
+        path = np.array([[0.0, 0.0], [1.0, 0.0]])
+        outside = [np.nextafter(1.0 + delta, 2.0), np.nextafter(-delta, -1.0)]
+        samples = [(np.array([x, 0.0]), True) for x in outside]
+        samples.append((np.array([1.0, np.nextafter(delta, 1.0)]), True))
+        assert assert_matches_all_pairs(samples, path, delta) == 0.0
+        samples.append((np.array([1.0 + delta, 0.0]), True))
+        assert assert_matches_all_pairs(samples, path, delta) == 0.25
+
+    def test_end_caps_far_from_the_origin(self):
+        # rounding in a + t*seg grows with the coordinates, not with delta,
+        # so the pruning slack must too
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            path = 1e6 + np.cumsum(rng.normal(scale=1e-3, size=(3, 2)), axis=0)
+            seg = np.diff(path, axis=0)
+            u = seg / np.linalg.norm(seg, axis=1)[:, None]
+            jitter = 1.0 + rng.uniform(-3e-6, 3e-6, size=(100, 1, 1))
+            ends = np.concatenate([path[1:] + 2e-4 * u * jitter, path[:-1] - 2e-4 * u * jitter])
+            samples = [(q, True) for q in ends.reshape(-1, 2)]
+            assert_matches_all_pairs(samples, path, 2e-4)
+
+    def test_all_samples_colliding(self):
+        path = np.array([[0.0, 0.0], [1.0, 0.0]])
+        samples = [(np.array([x, 0.0]), False) for x in (0.0, 0.5, 1.0)]
+        assert assert_matches_all_pairs(samples, path, 0.1) == 0.0
+
+    def test_segments_longer_than_delta(self):
+        rng = np.random.default_rng(40)
+        path = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        samples = near_path_samples(rng, path, 1000, 0.05)
+        assert 0.0 < assert_matches_all_pairs(samples, path, 0.05) < 1.0
+
+    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
+    @pytest.mark.parametrize("name", ["narrow_passage_2d", "narrow_passage_6d"])
+    def test_planner_sample_logs(self, planner, name):
+        # straight-line extensions put free samples at exactly 2*lam from
+        # the path in exact arithmetic; rounding decides them
+        start, goal = fixture_endpoints(name)
+        lam = fixture_lam(name)
+        _, result, oracle = run_trial(planner, fixture_scene(name), start, goal, 0,
+                                      SprintParams(lam=lam), 50_000)
+        assert_matches_all_pairs(oracle.samples, result.path, 2.0 * lam)
 
 
 class TestAblation:

@@ -86,6 +86,28 @@ class TestPlanCommand:
         assert err.startswith("error: --start: ") and err.count("\n") == 1
         assert needle in err
 
+    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_max_samples_is_an_error(self, capsys, planner, budget):
+        rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
+                   "--max-samples", budget])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and "must be positive" in captured.err
+        assert "status=" not in captured.out
+
+    def test_svg_of_a_non_2d_scene_fails_before_the_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("the trial ran")
+
+        monkeypatch.setattr("sprint_planner.cli.run_trial", no_trial)
+        svg = tmp_path / "run.svg"
+        rc = main(["plan", "--scene", "box_maze_10d", "--svg", str(svg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: SVG rendering supports 2-D scenes only, got d=10\n"
+        assert not svg.exists()
+
     def test_start_without_goal_is_an_error(self, capsys):
         rc = main(["plan", "--scene", "empty_2d", "--start", "0.2,0.2"])
         assert rc == 2

@@ -70,6 +70,11 @@ class TestBaselineParams:
             with pytest.raises(ValueError):
                 BaselineParams(step=step)
 
+    def test_max_samples_positive(self):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="max_samples"):
+                BaselineParams(max_samples=budget)
+
     def test_goal_bias_range(self):
         with pytest.raises(ValueError):
             BaselineParams(goal_bias=1.5)
