@@ -57,7 +57,9 @@ class TrialRecord:
 def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
                        delta: float) -> float:
     """Fraction of oracle samples that were free and lie within delta of the
-    solution path (point-to-segment distance with clamped projection)."""
+    solution path (point-to-segment distance with clamped projection): its
+    rounded squared distance to some segment is `<= delta**2`, so rounding
+    decides the many samples that straight-line extensions leave at 2*lam."""
     if not samples:
         raise ValueError("delta_useful_ratio requires a nonempty sample list")
     if not 0 < delta < math.inf:

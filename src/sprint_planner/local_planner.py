@@ -125,10 +125,6 @@ class LocalTree:
             yield cur
             cur = self.nodes[cur].parent
 
-    def checkpoint_path(self, node_id: int) -> list[int]:
-        """Checkpoint ids on the path node_id -> root (inclusive of both ends)."""
-        return list(reversed(self.nodes[node_id].cp_chain))
-
     def subtree_ids(self, node_id: int) -> list[int]:
         out = []
         todo = [node_id]

@@ -37,9 +37,6 @@ class Box:
     def dim(self) -> int:
         return self.min.shape[0]
 
-    def contains(self, q: Config) -> bool:
-        return bool(np.all(q >= self.min) and np.all(q <= self.max))
-
 
 @dataclass(frozen=True)
 class Sphere:
@@ -56,9 +53,6 @@ class Sphere:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def contains(self, q: Config) -> bool:
-        return bool(np.dot(q - self.center, q - self.center) <= self.radius * self.radius)
 
 
 Obstacle = Box | Sphere
@@ -100,40 +94,47 @@ class CollisionOracle:
         self.sample_count = 0
         self.record_samples = record_samples
         self.samples: list[tuple[Config, bool]] = []
-        # stacked obstacle arrays so one query touches numpy a fixed number
-        # of times regardless of obstacle count
-        boxes = [o for o in scene.obstacles if isinstance(o, Box)]
-        spheres = [o for o in scene.obstacles if isinstance(o, Sphere)]
-        self._lo = scene.lower.tolist()
-        self._hi = scene.upper.tolist()
-        self._boxes = [(b.min.tolist(), b.max.tolist()) for b in boxes]
-        self._spheres = [(s.center.tolist(), s.radius * s.radius) for s in spheres]
+        self._dim = scene.dim
+        # bounds and boxes as (axis, lo, hi) triples of Python floats, so a
+        # query is plain comparisons that stop at the first deciding axis
+        axes = range(scene.dim)
+        self._bounds = tuple(zip(axes, scene.lower.tolist(), scene.upper.tolist()))
+        self._boxes = tuple(tuple(zip(axes, o.min.tolist(), o.max.tolist()))
+                            for o in scene.obstacles if isinstance(o, Box))
+        self._spheres = tuple((o.center.tolist(), o.radius * o.radius)
+                              for o in scene.obstacles if isinstance(o, Sphere))
 
     def is_free(self, q: Config) -> bool:
-        if q.shape[0] != self.scene.dim:
-            raise ValueError(f"query dimension {q.shape[0]} != scene dimension {self.scene.dim}")
+        if q.shape[0] != self._dim:
+            raise ValueError(f"query dimension {q.shape[0]} != scene dimension {self._dim}")
         self.sample_count += 1
-        ql = q.tolist()
-        free = all(l <= x <= h for x, l, h in zip(ql, self._lo, self._hi))
-        if free:
-            for mn, mx in self._boxes:
-                if all(l <= x <= h for x, l, h in zip(ql, mn, mx)):
-                    free = False
-                    break
-        if free:
-            for center, r2 in self._spheres:
-                if sum((x - c) * (x - c) for x, c in zip(ql, center)) <= r2:
-                    free = False
-                    break
+        free = self._free(q.tolist())
         if self.record_samples:
             self.samples.append((q.copy(), free))
         return free
 
+    def _free(self, ql: list[float]) -> bool:
+        """World boundary free, obstacle boundary in collision, NaN never free."""
+        for i, l, h in self._bounds:
+            if not l <= ql[i] <= h:
+                return False
+        for box in self._boxes:
+            for i, l, h in box:
+                if not l <= ql[i] <= h:
+                    break
+            else:
+                return False
+        for center, r2 in self._spheres:
+            if sum((x - c) * (x - c) for x, c in zip(ql, center)) <= r2:
+                return False
+        return True
+
     def sample_free(self, rng: np.random.Generator, max_attempts: int = 100_000) -> Config:
-        """Uniform draw from free space by rejection; every attempt is metered."""
-        lo, hi = self.scene.lower, self.scene.upper
+        """Uniform draw from free space by rejection; every attempt is metered.
+        `lo + span * random(d)` is `uniform(lo, hi)` bit for bit, but cheaper."""
+        lo, span = self.scene.lower, self.scene.upper - self.scene.lower
         for _ in range(max_attempts):
-            q = rng.uniform(lo, hi)
+            q = lo + span * rng.random(lo.shape)
             if self.is_free(q):
                 return q
         raise FreeSpaceNotFound(f"no free sample found in {max_attempts} attempts")

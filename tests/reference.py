@@ -1,8 +1,9 @@
 """Scalar and list-based reference implementations, kept as test oracles.
 
 The library runs the fast forms: `_PairSelector` for region selection,
-`local_planner.grad_g3` for the repulsion and the kd-tree-pruned
-`bench.delta_useful_ratio`.  The plain versions here recompute everything
+`local_planner.grad_g3` for the repulsion, the kd-tree-pruned
+`bench.delta_useful_ratio`, the early-exit `CollisionOracle.is_free` and the
+cached `LocalNode.cp_chain`.  The plain versions here recompute everything
 from scratch and are what the equivalence tests compare those against.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from sprint_planner.geometry import Config, Region, _check_dims, dist
 from sprint_planner.params import SprintParams
+from sprint_planner.world import Box, Scene, Sphere
 
 
 def proj_scalar(p: Config, r: Region) -> float:
@@ -138,3 +140,27 @@ def delta_useful_ratio_all_pairs(samples: list[tuple[Config, bool]], path: np.nd
         d2 = np.sum((chunk[:, None, :] - closest) ** 2, axis=2)
         useful += int(np.count_nonzero(np.min(d2, axis=1) <= delta * delta))
     return useful / len(samples)
+
+
+def is_free_reference(scene: Scene, q: Config) -> bool:
+    """`CollisionOracle.is_free` without the meter, as one `all()` per
+    interval test: the world boundary is free, a box or sphere boundary
+    collides, and a NaN coordinate is never free."""
+    ql = q.tolist()
+    if not all(l <= x <= h for x, l, h in zip(ql, scene.lower.tolist(), scene.upper.tolist())):
+        return False
+    for o in scene.obstacles:
+        if isinstance(o, Box):
+            if all(l <= x <= h for x, l, h in zip(ql, o.min.tolist(), o.max.tolist())):
+                return False
+        elif isinstance(o, Sphere):
+            r2 = o.radius * o.radius
+            if sum((x - c) * (x - c) for x, c in zip(ql, o.center.tolist())) <= r2:
+                return False
+    return True
+
+
+def checkpoint_path(tree, node_id: int) -> list[int]:
+    """Checkpoint ids on the path node_id -> root (inclusive of both ends),
+    read from the node's cached `cp_chain`."""
+    return list(reversed(tree.nodes[node_id].cp_chain))

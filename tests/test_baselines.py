@@ -295,9 +295,9 @@ class TestRrtConnect:
         oracle = wall_oracle()
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
                                oracle, p, np.random.default_rng(3))
-        box = oracle.scene.obstacles[0]
+        checker = CollisionOracle(oracle.scene)
         for q in res.path:
-            assert not box.contains(q)
+            assert checker.is_free(q)
 
     def test_budget_exhaustion(self):
         p = BaselineParams(step=0.01, max_samples=25)

