@@ -8,8 +8,8 @@ import time
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Config, dist, polyline_length
-from .global_planner import PlanResult, PlanStatus
+from .geometry import Config, dist
+from .global_planner import PlanResult, Tree, check_endpoints
 from .params import BaselineParams
 from .world import CollisionOracle
 
@@ -59,11 +59,6 @@ class KdTree:
 
     def __len__(self) -> int:
         return self._size
-
-    def point(self, i: int) -> Config:
-        if not 0 <= i < self._size:
-            raise IndexError(i)
-        return self._pts[i]
 
     def insert(self, q: Config) -> int:
         if q.shape[0] != self.dim:
@@ -139,22 +134,17 @@ def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
     return q_from + step * (diff / n)
 
 
-def _chain_path(configs: list[Config], parents: list[int], end: int) -> list[Config]:
-    out = []
-    cur = end
-    while cur != -1:
-        out.append(configs[cur])
-        cur = parents[cur]
-    out.reverse()
-    return out
+class _Tree(Tree):
+    """A Tree that also indexes its points for nearest-neighbor queries."""
 
+    def __init__(self, root: Config, dim: int):
+        super().__init__(root)
+        self.kd = KdTree(dim)
+        self.kd.insert(root)
 
-def _result(path_pts: list[Config] | None, total: int, t0: float) -> PlanResult:
-    wall = time.perf_counter() - t0
-    if path_pts is None:
-        return PlanResult(PlanStatus.BUDGET_EXHAUSTED, None, total, wall, float("nan"))
-    path = np.array(path_pts)
-    return PlanResult(PlanStatus.SOLVED, path, total, wall, polyline_length(path))
+    def add(self, q: Config, parent: int) -> int:
+        self.kd.insert(q)
+        return super().add(q, parent)
 
 
 def _rrt_targets(rng: np.random.Generator, n: int, lo: Config, hi: Config,
@@ -192,17 +182,11 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     """Goal-biased RRT with fixed-step extension and per-step point checks."""
     t0 = time.perf_counter()
     start_count = oracle.sample_count
-    if not oracle.is_free(q_init):
-        raise ValueError("q_init is in collision")
-    if not oracle.is_free(q_goal):
-        raise ValueError("q_goal is in collision")
+    check_endpoints(oracle, q_init, q_goal)
     lo, hi = oracle.scene.lower, oracle.scene.upper
 
-    configs = [q_init]
-    parents = [-1]
-    kd = KdTree(oracle.scene.dim)
-    kd.insert(q_init)
-    edges: list[np.ndarray] = []
+    tree = _Tree(q_init, oracle.scene.dim)
+    kd = tree.kd
 
     path_pts = None
     carry = np.empty(0)
@@ -213,38 +197,18 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             kd.queue(targets)
         q_rand = kd.next_target()
         ni = kd.nearest(q_rand)
-        q_new = _steer(configs[ni], q_rand, params.step)
+        q_new = _steer(tree.points[ni], q_rand, params.step)
         if q_new is None:
             continue
         if not oracle.is_free(q_new):
             continue
-        configs.append(q_new)
-        parents.append(ni)
-        kd.insert(q_new)
-        edges.append(np.array([configs[ni], q_new]))
+        i = tree.add(q_new, ni)
         if dist(q_new, q_goal) <= params.step:
-            pts = _chain_path(configs, parents, len(configs) - 1)
-            if not np.array_equal(pts[-1], q_goal):
-                pts.append(q_goal)
-            path_pts = pts
+            path_pts = tree.path_to(i)
+            if not np.array_equal(path_pts[-1], q_goal):
+                path_pts.append(q_goal)
             break
-    res = _result(path_pts, oracle.sample_count - start_count, t0)
-    res.tree_edges = edges
-    return res
-
-
-class _Tree:
-    def __init__(self, root: Config, dim: int):
-        self.configs = [root]
-        self.parents = [-1]
-        self.kd = KdTree(dim)
-        self.kd.insert(root)
-
-    def add(self, q: Config, parent: int) -> int:
-        self.configs.append(q)
-        self.parents.append(parent)
-        self.kd.insert(q)
-        return len(self.configs) - 1
+    return PlanResult.finish(path_pts, oracle.sample_count - start_count, t0, (tree,))
 
 
 def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
@@ -252,31 +216,25 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     """Bidirectional RRT with the greedy connect heuristic."""
     t0 = time.perf_counter()
     start_count = oracle.sample_count
-    if not oracle.is_free(q_init):
-        raise ValueError("q_init is in collision")
-    if not oracle.is_free(q_goal):
-        raise ValueError("q_goal is in collision")
+    check_endpoints(oracle, q_init, q_goal)
     lo, hi = oracle.scene.lower, oracle.scene.upper
     dim = oracle.scene.dim
 
-    ta = _Tree(q_init, dim)
-    tb = _Tree(q_goal, dim)
+    trees = (_Tree(q_init, dim), _Tree(q_goal, dim))
+    ta, tb = trees
     a_is_start = True
-    edges: list[np.ndarray] = []
 
     def budget_left() -> bool:
         return oracle.sample_count - start_count < params.max_samples
 
     def extend(tree: _Tree, target: Config) -> int | None:
         ni = tree.kd.nearest(target)
-        q_new = _steer(tree.configs[ni], target, params.step)
+        q_new = _steer(tree.points[ni], target, params.step)
         if q_new is None:
-            return ni if np.array_equal(tree.configs[ni], target) else None
+            return ni if np.array_equal(tree.points[ni], target) else None
         if not oracle.is_free(q_new):
             return None
-        idx = tree.add(q_new, ni)
-        edges.append(np.array([tree.configs[ni], q_new]))
-        return idx
+        return tree.add(q_new, ni)
 
     path_pts = None
     while budget_left():
@@ -293,25 +251,24 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         q_rand = ta.kd.next_target()
         ia = extend(ta, q_rand)
         if ia is not None:
-            q_new = ta.configs[ia]
+            q_new = ta.points[ia]
             # greedily connect the other tree toward the new node
             ib = None
             cur = tb.kd.nearest(q_new)
             while budget_left():
-                q_step = _steer(tb.configs[cur], q_new, params.step)
+                q_step = _steer(tb.points[cur], q_new, params.step)
                 if q_step is None:
                     ib = cur
                     break
                 if not oracle.is_free(q_step):
                     break
                 cur = tb.add(q_step, cur)
-                edges.append(np.array([tb.configs[tb.parents[cur]], q_step]))
                 if np.array_equal(q_step, q_new):
                     ib = cur
                     break
             if ib is not None:
-                pa = _chain_path(ta.configs, ta.parents, ia)
-                pb = _chain_path(tb.configs, tb.parents, ib)
+                pa = ta.path_to(ia)
+                pb = tb.path_to(ib)
                 pb.reverse()
                 if np.array_equal(pa[-1], pb[0]):
                     pb = pb[1:]
@@ -322,6 +279,4 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 break
         ta, tb = tb, ta
         a_is_start = not a_is_start
-    res = _result(path_pts, oracle.sample_count - start_count, t0)
-    res.tree_edges = edges
-    return res
+    return PlanResult.finish(path_pts, oracle.sample_count - start_count, t0, trees)

@@ -345,7 +345,7 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
                                                 params, max_samples, scene_label=ident)
                 records.append(rec)
                 if want_svg and scene.dim == 2:
-                    svg = render_svg(scene, oracle.samples, result.tree_edges,
+                    svg = render_svg(scene, oracle.samples, result.trees,
                                      result.path, result.total_samples)
                     name = f"{planner.replace(':', '_')}__{ident}__{seed}.svg"
                     (out_dir / name).write_text(svg, encoding="utf-8")

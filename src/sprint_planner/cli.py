@@ -55,7 +55,7 @@ def cmd_plan(args) -> int:
           f"path_length={record.path_length:.6g} wall_time={record.wall_time_s:.3f}s "
           f"delta_useful_ratio={'' if record.delta_useful_ratio is None else f'{record.delta_useful_ratio:.4f}'}")
     if args.svg:
-        svg = render_svg(scene, oracle.samples, result.tree_edges, result.path,
+        svg = render_svg(scene, oracle.samples, result.trees, result.path,
                          result.total_samples)
         Path(args.svg).write_text(svg, encoding="utf-8")
         print(f"wrote {args.svg}")

@@ -1,5 +1,5 @@
-"""Global milestone search: region selection, local-search dispatch, and
-solution assembly."""
+"""Global milestone search: region selection and local-search dispatch; also
+the search tree, endpoint checks and result record all three planners share."""
 
 from __future__ import annotations
 
@@ -15,14 +15,37 @@ from .params import SprintParams
 from .world import CollisionOracle
 
 __all__ = [
-    "SprintParams", "PlanStatus", "PlanResult", "GlobalTree", "SprintVariant",
-    "plan", "add_milestones", "assemble_path",
+    "SprintParams", "PlanStatus", "PlanResult", "Tree", "SprintVariant",
+    "check_endpoints", "plan", "add_milestones",
 ]
 
 
 class PlanStatus(enum.Enum):
     SOLVED = "Solved"
     BUDGET_EXHAUSTED = "BudgetExhausted"
+
+
+class Tree:
+    """A planner's search tree: configurations and their parents' indices,
+    with the root at index 0 and its parent -1."""
+
+    def __init__(self, root: Config):
+        self.points = [root]
+        self.parents = [-1]
+
+    def add(self, q: Config, parent: int) -> int:
+        self.points.append(q)
+        self.parents.append(parent)
+        return len(self.points) - 1
+
+    def path_to(self, i: int) -> list[Config]:
+        """Configs from the root to node i."""
+        out = []
+        while i != -1:
+            out.append(self.points[i])
+            i = self.parents[i]
+        out.reverse()
+        return out
 
 
 @dataclass
@@ -32,22 +55,29 @@ class PlanResult:
     total_samples: int
     wall_time: float
     path_length: float
-    tree_edges: list[np.ndarray] = field(default_factory=list, repr=False)
-
-
-@dataclass
-class GlobalTree:
-    """Global search state: nodes rooted at q_init, milestone pool, and
-    polyline edges from completed local searches."""
-
-    nodes: list[Config]
-    parents: list[int | None]
-    edge_paths: list[np.ndarray | None]
-    milestones: list[Config]
+    trees: tuple[Tree, ...] = field(repr=False)
 
     @classmethod
-    def rooted_at(cls, q_init: Config) -> "GlobalTree":
-        return cls(nodes=[q_init], parents=[None], edge_paths=[None], milestones=[])
+    def finish(cls, path_pts: list[Config] | None, total: int, t0: float,
+               trees: tuple[Tree, ...]) -> PlanResult:
+        """The result of a run that started at perf_counter() time t0 and
+        found the path path_pts, or none."""
+        wall = time.perf_counter() - t0
+        if path_pts is None:
+            return cls(PlanStatus.BUDGET_EXHAUSTED, None, total, wall, float("nan"), trees)
+        path = np.array(path_pts)
+        return cls(PlanStatus.SOLVED, path, total, wall, polyline_length(path), trees)
+
+
+def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> None:
+    """Raise ValueError unless both endpoints are free and distinct; the two
+    free-space checks are metered samples."""
+    if not oracle.is_free(q_init):
+        raise ValueError("q_init is in collision")
+    if not oracle.is_free(q_goal):
+        raise ValueError("q_goal is in collision")
+    if np.array_equal(q_init, q_goal):
+        raise ValueError("q_init equals q_goal")
 
 
 @dataclass(frozen=True)
@@ -176,71 +206,44 @@ class _PairSelector:
         return int(ni[k]), int(mi[k])
 
 
-def add_milestones(tree: GlobalTree, oracle: CollisionOracle, params: SprintParams,
-                   rng: np.random.Generator) -> None:
-    """Append a fresh batch of free-space milestones to the pool."""
-    for _ in range(params.milestone_batch):
-        tree.milestones.append(oracle.sample_free(rng))
-
-
-def assemble_path(tree: GlobalTree, q_goal: Config) -> np.ndarray:
-    """Concatenate edge polylines along the tree path root -> q_goal."""
-    target = None
-    for i, q in enumerate(tree.nodes):
-        if np.array_equal(q, q_goal):
-            target = i
-            break
-    if target is None:
-        raise ValueError("goal is not a node of the global tree")
-    chain = []
-    cur: int | None = target
-    while cur is not None:
-        chain.append(cur)
-        cur = tree.parents[cur]
-    chain.reverse()
-    pieces = []
-    for idx, node_idx in enumerate(chain):
-        edge = tree.edge_paths[node_idx]
-        if edge is None:
-            continue
-        pieces.append(edge if not pieces else edge[1:])
-    if not pieces:
-        raise ValueError("goal coincides with the tree root; no path to assemble")
-    return np.vstack(pieces)
+def add_milestones(oracle: CollisionOracle, params: SprintParams,
+                   rng: np.random.Generator) -> list[Config]:
+    """A fresh batch of free-space milestones."""
+    return [oracle.sample_free(rng) for _ in range(params.milestone_batch)]
 
 
 def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
          params: SprintParams, rng: np.random.Generator,
          variant: SprintVariant | None = None) -> PlanResult:
-    """Full SPRINT run from q_init to q_goal under a total sample budget."""
+    """Full SPRINT run from q_init to q_goal under a total sample budget.
+
+    The tree holds every vertex of every local path that reached its
+    milestone, each hanging off the vertex before it; global node n (the
+    selector's row n) is tree node at[n]."""
     t0 = time.perf_counter()
     start_count = oracle.sample_count
-    if not oracle.is_free(q_init):
-        raise ValueError("q_init is in collision")
-    if not oracle.is_free(q_goal):
-        raise ValueError("q_goal is in collision")
-    if np.array_equal(q_init, q_goal):
-        raise ValueError("q_init equals q_goal")
+    check_endpoints(oracle, q_init, q_goal)
 
     if variant is None:
         variant = SprintVariant()
 
-    tree = GlobalTree.rooted_at(q_init)
+    tree = Tree(q_init)
+    at = [0]
+    milestones = [q_goal]
     selector = _PairSelector(q_init, q_goal, params)
+    selector.add_milestones(milestones)
 
     def grow_milestones() -> None:
-        before = len(tree.milestones)
-        add_milestones(tree, oracle, params, rng)
-        selector.add_milestones(tree.milestones[before:])
+        batch = add_milestones(oracle, params, rng)
+        milestones.extend(batch)
+        selector.add_milestones(batch)
 
-    tree.milestones.append(q_goal)
-    selector.add_milestones([q_goal])
     grow_milestones()
 
     def used() -> int:
         return oracle.sample_count - start_count
 
-    solved = False
+    path_pts = None
     while used() < params.max_total_samples:
         if variant.random_region_select:
             pick = selector.select_random(rng)
@@ -251,27 +254,21 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             continue
         ni, mi = pick
         selector.mark_attempted(ni, mi)
-        q_n, q_m = tree.nodes[ni], tree.milestones[mi]
+        q_n, q_m = tree.points[at[ni]], milestones[mi]
         remaining = params.max_total_samples - used()
         res = local_search(q_n, q_m, oracle, params, rng, budget=remaining,
                            gate_fn=variant.gate_fn, edge_fn=variant.edge_fn)
         if res.status is LocalStatus.REACHED:
-            tree.nodes.append(q_m)
-            tree.parents.append(ni)
-            tree.edge_paths.append(res.path)
+            node = at[ni]
+            for q in res.path[1:]:
+                node = tree.add(q, node)
+            at.append(node)
             selector.add_node(q_m)
             selector.mark_reached(mi)
             if mi == 0:
-                solved = True
+                path_pts = tree.path_to(node)
                 break
         else:
             selector.add_region(Region(q_n, q_m))
 
-    wall = time.perf_counter() - t0
-    edges = [p for p in tree.edge_paths if p is not None]
-    if solved:
-        path = assemble_path(tree, q_goal)
-        return PlanResult(PlanStatus.SOLVED, path, used(), wall,
-                          polyline_length(path), tree_edges=edges)
-    return PlanResult(PlanStatus.BUDGET_EXHAUSTED, None, used(), wall, float("nan"),
-                      tree_edges=edges)
+    return PlanResult.finish(path_pts, used(), t0, (tree,))

@@ -20,12 +20,13 @@ def check_renderable(scene: Scene) -> None:
         raise ValueError(f"SVG rendering supports 2-D scenes only, got d={scene.dim}")
 
 
-def render_svg(scene: Scene, samples=None, tree_edges=None, path=None,
+def render_svg(scene: Scene, samples=None, trees=None, path=None,
                total_samples: int | None = None) -> str:
-    """Render a 2-D scene with oracle samples, tree edges, and the final path.
+    """Render a 2-D scene with oracle samples, search trees, and the final path.
 
-    samples is a list of (config, free) pairs; tree_edges a list of (n, 2)
-    polylines; path an (n, 2) polyline or None.
+    samples is a list of (config, free) pairs; trees a sequence of
+    `global_planner.Tree`, each non-root node drawn as one segment from its
+    parent, tree by tree in node order; path an (n, 2) polyline or None.
     """
     check_renderable(scene)
     lo, hi = scene.lower, scene.upper
@@ -38,6 +39,10 @@ def render_svg(scene: Scene, samples=None, tree_edges=None, path=None,
     def sy(y: float) -> float:
         # flip so larger y is up
         return _SIZE - _MARGIN - (y - lo[1]) * scale
+
+    def polyline(pts, stroke: str, width: str) -> str:
+        xy = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in pts)
+        return f'<polyline points="{xy}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -64,12 +69,12 @@ def render_svg(scene: Scene, samples=None, tree_edges=None, path=None,
         parts.append(
             f'<circle cx="{_fmt(sx(q[0]))}" cy="{_fmt(sy(q[1]))}" r="1.5" '
             f'fill="{color}"/>')
-    for edge in tree_edges or []:
-        pts = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in np.asarray(edge))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#5577cc" stroke-width="0.8"/>')
+    for tree in trees or ():
+        for q, parent in zip(tree.points, tree.parents):
+            if parent != -1:
+                parts.append(polyline((tree.points[parent], q), "#5577cc", "0.8"))
     if path is not None:
-        pts = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in np.asarray(path))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#111111" stroke-width="2.5"/>')
+        parts.append(polyline(np.asarray(path), "#111111", "2.5"))
     if total_samples is not None:
         parts.append(
             f'<text x="{_fmt(_MARGIN)}" y="{_fmt(_MARGIN - 10)}" font-size="14" '

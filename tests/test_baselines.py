@@ -47,7 +47,8 @@ class TestKdTree:
         assert kd.insert(np.zeros(2)) == 0
         assert kd.insert(np.ones(2)) == 1
         assert len(kd) == 2
-        np.testing.assert_array_equal(kd.point(1), np.ones(2))
+        assert kd.nearest(np.full(2, 0.9)) == 1
+        assert kd.nearest(np.full(2, 0.1)) == 0
 
     def test_empty_query_raises(self):
         with pytest.raises(ValueError):
@@ -56,12 +57,6 @@ class TestKdTree:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             KdTree(2).insert(np.zeros(3))
-
-    def test_point_index_out_of_range(self):
-        kd = KdTree(2)
-        kd.insert(np.zeros(2))
-        with pytest.raises(IndexError):
-            kd.point(1)
 
 
 def scan(pts, q):
@@ -226,6 +221,13 @@ def path_checks(res, start, goal, step):
     np.testing.assert_allclose(res.path[-1], goal)
     steps = np.linalg.norm(np.diff(res.path, axis=0), axis=1)
     assert np.all(steps <= step * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("planner", [rrt_plan, rrt_connect_plan])
+def test_equal_endpoints_rejected(planner):
+    q = np.array([0.1, 0.1])
+    with pytest.raises(ValueError, match="q_init equals q_goal"):
+        planner(q, q.copy(), empty_oracle(), BaselineParams(), np.random.default_rng(0))
 
 
 class TestRrt:

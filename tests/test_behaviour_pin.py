@@ -4,14 +4,17 @@ select_random path) on a 2-D and a 10-D fixture, and both baselines on the
 same two fixtures.
 
 A change that is meant to keep behaviour must keep these (status,
-total_samples) pairs, for the baselines also the path bytes, and the exact
-delta-useful ratio of all three planners on those two fixtures; they catch
-trajectory and metric drift in seconds, without the acceptance grids.
+total_samples) pairs, the path bytes of SPRINT on the high-dimensional
+fixtures and of the baselines, the exact delta-useful ratio of all three
+planners on those two fixtures, and the tree segments all three return on
+`narrow_passage_2d`; they catch trajectory and metric drift in seconds,
+without the acceptance grids.
 """
 
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from sprint_planner.bench import run_trial
@@ -23,6 +26,14 @@ PINNED = {
                           ("Solved", 4924), ("Solved", 169)],
     "box_maze_10d": [("Solved", 5068), ("Solved", 5873), ("Solved", 4564),
                      ("Solved", 5424), ("Solved", 4930)],
+}
+
+# first 16 hex digits of sha256(path.tobytes()), seeds 0-4
+PINNED_SPRINT_PATHS = {
+    "narrow_passage_6d": ["3307a033980d42c4", "2ac0886fa77d2b70", "b13e487a9cbef4e6",
+                          "ea50f1319f8565b2", "29f153b00ce0ca15"],
+    "box_maze_10d": ["9211f0de71bd09e6", "6f6a9a297d02430e", "19129d70ed290423",
+                     "34cb3614c2cf7f87", "919430c097be3818"],
 }
 
 PINNED_RANDOM_SELECT = {
@@ -78,6 +89,19 @@ PINNED_RATIOS = {
 }
 
 
+# narrow_passage_2d, seeds 0-4: first 16 hex digits of sha256 over the sorted
+# bytes of every (parent, child) segment, as a (2, d) array, of the trees a
+# trial returns; the SVG render draws exactly these segments
+PINNED_SEGMENTS = {
+    "sprint": ["77ad0aff5621f44a", "803690a6c8a0de1c", "3d5e3bd5eeab5265",
+               "9b55c5c44e436559", "a93552d876b537d7"],
+    "rrt": ["889f81630990cf33", "8e2d8f41b0efe1ca", "fbe1f2c611d3a27b",
+            "c022b56759a3c8a1", "0774c162956f56a3"],
+    "rrt-connect": ["75993f8f11be6b30", "20a0f48460e1512b", "ee13db8e1d0d8c91",
+                    "c1c83376f41427c9", "a19c1532018dc391"],
+}
+
+
 @functools.cache
 def _trials(planner, name):
     # the sample log changes no trajectory, and keeping it gives the ratio
@@ -97,6 +121,13 @@ def test_sprint_outcomes_are_pinned(name):
     assert _outcomes("sprint", name) == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_SPRINT_PATHS))
+def test_sprint_paths_are_pinned(name):
+    got = [hashlib.sha256(res.path.tobytes()).hexdigest()[:16]
+           for _, res in _trials("sprint", name)]
+    assert got == PINNED_SPRINT_PATHS[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_RANDOM_SELECT))
 def test_random_region_selection_is_pinned(name):
     assert _outcomes("sprint:no-pr1", name) == PINNED_RANDOM_SELECT[name]
@@ -114,3 +145,15 @@ def test_baseline_trajectories_are_pinned(planner, name):
 def test_delta_useful_ratios_are_pinned(planner, name):
     got = [repr(rec.delta_useful_ratio) for rec, _ in _trials(planner, name)]
     assert got == PINNED_RATIOS[planner, name]
+
+
+def _segments_digest(trees):
+    segs = sorted(np.stack([t.points[p], q]).tobytes()
+                  for t in trees for q, p in zip(t.points, t.parents) if p != -1)
+    return hashlib.sha256(b"".join(segs)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("planner", sorted(PINNED_SEGMENTS))
+def test_tree_segments_are_pinned(planner):
+    got = [_segments_digest(res.trees) for _, res in _trials(planner, "narrow_passage_2d")]
+    assert got == PINNED_SEGMENTS[planner]

@@ -96,6 +96,15 @@ class TestPlanCommand:
         assert captured.err.startswith("error: ") and "must be positive" in captured.err
         assert "status=" not in captured.out
 
+    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
+    def test_equal_endpoints_are_a_one_line_error(self, capsys, planner):
+        rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
+                   "--start", "0.1,0.1", "--goal", "0.1,0.1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: q_init equals q_goal\n"
+        assert "status=" not in captured.out
+
     def test_svg_of_a_non_2d_scene_fails_before_the_trial(self, tmp_path, capsys, monkeypatch):
         def no_trial(*args, **kwargs):
             raise AssertionError("the trial ran")

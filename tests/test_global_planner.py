@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sprint_planner.geometry import Region, dist
-from sprint_planner.global_planner import (GlobalTree, PlanStatus, SprintParams,
-                                           SprintVariant, _PairSelector,
-                                           add_milestones, assemble_path, plan)
+from sprint_planner.global_planner import (PlanStatus, SprintParams, SprintVariant,
+                                           Tree, _PairSelector, add_milestones, plan)
 from sprint_planner.world import Box, CollisionOracle, Scene
 
 from reference import (RegionState, candidate_pairs, pair_scores, select_pair,
@@ -170,40 +169,49 @@ class TestMilestones:
     def test_batch_size_and_metering(self):
         p = params(milestone_batch=7)
         oracle = CollisionOracle(empty_scene())
-        t = GlobalTree.rooted_at(np.array([0.1, 0.1]))
-        add_milestones(t, oracle, p, np.random.default_rng(0))
-        assert len(t.milestones) == 7
+        batch = add_milestones(oracle, p, np.random.default_rng(0))
+        assert len(batch) == 7
         assert oracle.sample_count >= 7  # rejections included
 
     def test_milestones_are_free(self):
         scene = Scene(name="half", lower=np.zeros(2), upper=np.ones(2),
                       obstacles=(Box(np.array([0.0, 0.0]), np.array([1.0, 0.5])),))
         oracle = CollisionOracle(scene)
-        t = GlobalTree.rooted_at(np.array([0.1, 0.9]))
-        add_milestones(t, oracle, params(), np.random.default_rng(1))
-        for m in t.milestones:
+        batch = add_milestones(oracle, params(), np.random.default_rng(1))
+        assert len(batch) == params().milestone_batch
+        for m in batch:
             assert m[1] > 0.5
 
 
-class TestAssemblePath:
-    def test_concatenates_edges_without_duplicates(self):
-        t = GlobalTree.rooted_at(np.array([0.0, 0.0]))
-        mid = np.array([0.5, 0.0])
-        goal = np.array([1.0, 0.0])
-        t.nodes.append(mid)
-        t.parents.append(0)
-        t.edge_paths.append(np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]]))
-        t.nodes.append(goal)
-        t.parents.append(1)
-        t.edge_paths.append(np.array([[0.5, 0.0], [0.75, 0.0], [1.0, 0.0]]))
-        path = assemble_path(t, goal)
-        expected = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(path, expected)
+class TestTree:
+    def test_path_to_root_only(self):
+        root = np.array([0.0, 0.0])
+        t = Tree(root)
+        assert t.parents == [-1]
+        path = t.path_to(0)
+        assert len(path) == 1 and path[0] is root
 
-    def test_goal_not_in_tree_raises(self):
-        t = GlobalTree.rooted_at(np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            assemble_path(t, np.array([1.0, 1.0]))
+    def test_path_to_chain(self):
+        t = Tree(np.array([0.0, 0.0]))
+        node = 0
+        for x in (0.25, 0.5, 0.75, 1.0):
+            node = t.add(np.array([x, 0.0]), node)
+        assert node == 4
+        expected = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(np.array(t.path_to(node)), expected)
+
+    def test_path_to_branch(self):
+        # two branches off the root; each path holds its own branch only
+        t = Tree(np.array([0.0, 0.0]))
+        a = t.add(np.array([0.5, 0.0]), 0)
+        b = t.add(np.array([0.0, 0.5]), 0)
+        a2 = t.add(np.array([1.0, 0.0]), a)
+        b2 = t.add(np.array([0.0, 1.0]), b)
+        assert t.parents == [-1, 0, 0, 1, 2]
+        np.testing.assert_array_equal(np.array(t.path_to(a2)),
+                                      [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(np.array(t.path_to(b2)),
+                                      [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
 
 
 class TestPlan:

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from sprint_planner.global_planner import Tree
 from sprint_planner.render import render_svg
 from sprint_planner.world import Box, Scene, Sphere
 
@@ -49,10 +50,16 @@ class TestRenderSvg:
         assert text is not None and "3" in text.text
 
     def test_tree_edges_rendered(self):
-        edges = [np.array([[0.1, 0.1], [0.2, 0.1]]),
-                 np.array([[0.2, 0.1], [0.2, 0.2]])]
-        root = parse(render_svg(empty_scene(), tree_edges=edges))
-        assert len(root.findall(f"{SVG_NS}polyline")) == 2
+        ta, tb = Tree(np.array([0.1, 0.1])), Tree(np.array([0.9, 0.9]))
+        ta.add(np.array([0.2, 0.2]), ta.add(np.array([0.2, 0.1]), 0))
+        tb.add(np.array([0.8, 0.9]), 0)
+        root = parse(render_svg(empty_scene(), trees=(ta, tb)))
+        # one segment per non-root node, from its parent, tree by tree
+        assert [p.get("points") for p in root.findall(f"{SVG_NS}polyline")] == [
+            "84.000,516.000 138.000,516.000",
+            "138.000,516.000 138.000,462.000",
+            "516.000,84.000 462.000,84.000",
+        ]
 
     def test_rejects_non_2d(self):
         scene = Scene(name="hi", lower=np.zeros(3), upper=np.ones(3))
