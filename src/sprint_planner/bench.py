@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -109,7 +110,8 @@ def apply_ablation(params: SprintParams, mode: AblationMode,
 
     Never mutates the input params.  RandomParams scales every continuous
     parameter by an independent uniform factor in [0.75, 1.25]; the NoPr*
-    modes swap one heuristic for its random counterpart.
+    modes swap one heuristic for its random counterpart.  NoPr2's coin flips
+    draw from rng, so the caller hands the planner that same generator.
     """
     if mode is AblationMode.DEFAULT:
         return params, SprintVariant()
@@ -125,14 +127,14 @@ def apply_ablation(params: SprintParams, mode: AblationMode,
     if mode is AblationMode.NO_PR1:
         return params, SprintVariant(random_region_select=True)
     if mode is AblationMode.NO_PR2:
-        def coin_gate(node_id, tree, p, rng_):
-            return bool(rng_.random() < 0.5)
+        def coin_gate(node_id, tree):
+            return bool(rng.random() < 0.5)
         return params, SprintVariant(gate_fn=coin_gate)
     if mode is AblationMode.NO_PR3:
-        def random_edge(node_id, tree, obs, p, rng_):
+        def random_edge(node_id, tree, obs, rng_):
             d = tree.root.shape[0]
             direction = rng_.normal(size=d)
-            return tree.nodes[node_id].config + p.lam * unit(direction)
+            return tree.points[node_id] + tree.params.lam * unit(direction)
         return params, SprintVariant(edge_fn=random_edge)
     raise ValueError(f"unknown ablation mode: {mode}")
 
@@ -265,14 +267,16 @@ def _is_int(x) -> bool:
 
 def _is_point(x) -> bool:
     return (isinstance(x, list) and len(x) > 0
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in x))
 
 
 def load_grid_config(path) -> dict:
     """Read and type-check a grid config.  The result has every key: seeds
-    expanded to a list of ints, params built into SprintParams, and the
-    documented defaults for omitted optional keys.  Any malformed field
-    raises ValueError."""
+    as a sequence of ints (a range for the start/count form, so a huge count
+    allocates nothing), params built into SprintParams, and the documented
+    defaults for omitted optional keys.  Any malformed field raises
+    ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
@@ -291,8 +295,9 @@ def load_grid_config(path) -> dict:
     if isinstance(seeds, dict) and set(seeds) <= {"start", "count"}:
         start, count = seeds.get("start", 0), seeds.get("count")
         if _is_int(start) and _is_int(count) and start >= 0 and count >= 0:
-            seeds = list(range(start, start + count))
-    if not (isinstance(seeds, list) and all(_is_int(s) and s >= 0 for s in seeds)):
+            seeds = range(start, start + count)
+    if not (isinstance(seeds, range)
+            or isinstance(seeds, list) and all(_is_int(s) and s >= 0 for s in seeds)):
         raise ValueError('grid config "seeds" must be {"start": int, "count": int} '
                          'or a list of non-negative ints')
 
@@ -307,7 +312,7 @@ def load_grid_config(path) -> dict:
             and all(isinstance(v, list) and len(v) == 2 and all(map(_is_point, v))
                     for v in endpoints.values())):
         raise ValueError('grid config "endpoints" must map scene names to '
-                         '[start, goal] coordinate lists')
+                         '[start, goal] lists of finite coordinates')
     return {"scenes": cfg["scenes"], "planners": cfg["planners"], "seeds": seeds,
             "max_samples": max_samples, "params": params_from_json(cfg.get("params", {})),
             "svg": svg, "endpoints": endpoints}

@@ -14,6 +14,7 @@ from .geometry import as_config
 from .params import SprintParams, params_from_json
 from .render import check_renderable, render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints
+from .world import FreeSpaceNotFound
 
 
 def _load_params(path: str | None) -> SprintParams:
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, FreeSpaceNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

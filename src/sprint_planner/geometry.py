@@ -1,7 +1,8 @@
-"""Configuration-space vector math: configurations, regions, distances.
+"""Configuration-space vector math: configurations, regions, distances,
+and the search tree every planner grows.
 
-A configuration is a 1-D float64 numpy array; all functions here are pure
-and safe to call concurrently.
+A configuration is a 1-D float64 numpy array.  The functions here are pure
+and safe to call concurrently; a `Tree` is mutable and belongs to one run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,29 @@ class Region:
 
     def __post_init__(self):
         _check_dims(self.a, self.b)
+
+
+class Tree:
+    """A planner's search tree: configurations and their parents' indices,
+    with the root at index 0 and its parent -1."""
+
+    def __init__(self, root: Config):
+        self.points = [root]
+        self.parents = [-1]
+
+    def add(self, q: Config, parent: int) -> int:
+        self.points.append(q)
+        self.parents.append(parent)
+        return len(self.points) - 1
+
+    def path_to(self, i: int) -> list[Config]:
+        """Configs from the root to node i."""
+        out = []
+        while i != -1:
+            out.append(self.points[i])
+            i = self.parents[i]
+        out.reverse()
+        return out
 
 
 def dist(a: Config, b: Config) -> float:

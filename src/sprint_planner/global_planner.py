@@ -1,5 +1,5 @@
 """Global milestone search: region selection and local-search dispatch; also
-the search tree, endpoint checks and result record all three planners share."""
+the endpoint checks and result record all three planners share."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Config, Region, dist, polyline_length
+from .geometry import Config, Region, Tree, dist, polyline_length
 from .local_planner import LocalStatus, local_search
 from .params import SprintParams
 from .world import CollisionOracle
@@ -23,29 +23,6 @@ __all__ = [
 class PlanStatus(enum.Enum):
     SOLVED = "Solved"
     BUDGET_EXHAUSTED = "BudgetExhausted"
-
-
-class Tree:
-    """A planner's search tree: configurations and their parents' indices,
-    with the root at index 0 and its parent -1."""
-
-    def __init__(self, root: Config):
-        self.points = [root]
-        self.parents = [-1]
-
-    def add(self, q: Config, parent: int) -> int:
-        self.points.append(q)
-        self.parents.append(parent)
-        return len(self.points) - 1
-
-    def path_to(self, i: int) -> list[Config]:
-        """Configs from the root to node i."""
-        out = []
-        while i != -1:
-            out.append(self.points[i])
-            i = self.parents[i]
-        out.reverse()
-        return out
 
 
 @dataclass
@@ -82,7 +59,9 @@ def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> 
 
 @dataclass(frozen=True)
 class SprintVariant:
-    """Heuristic overrides for ablation runs; None keeps the default."""
+    """Heuristic overrides for ablation runs; None keeps the default.
+    gate_fn(node_id, tree) stands in for local_planner.valid_node and
+    edge_fn(node_id, tree, obs, rng) for local_planner.local_edge."""
 
     random_region_select: bool = False
     gate_fn: object | None = None

@@ -12,11 +12,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Config, dist, unit
+from .geometry import Config, Tree, dist, unit
 from .params import SprintParams
 from .world import CollisionOracle
 
@@ -24,24 +24,6 @@ from .world import CollisionOracle
 class LocalStatus(enum.Enum):
     REACHED = "Reached"
     EXHAUSTED = "Exhausted"
-
-
-@dataclass
-class LocalNode:
-    id: int
-    config: Config
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    is_checkpoint: bool = False
-    # cached at insertion so checkpoint snapshots never re-measure the tree
-    d_goal: float = 0.0
-    d_root: float = 0.0
-    # checkpoint ids on the root -> node path, node included when it is one
-    cp_chain: tuple[int, ...] = ()
-
-    @property
-    def child_count(self) -> int:
-        return len(self.children)
 
 
 @dataclass
@@ -86,44 +68,42 @@ class LocalResult:
     samples_used: int
 
 
-class LocalTree:
-    """Search tree rooted at the region's first endpoint, aiming at the second."""
+class LocalTree(Tree):
+    """Search tree rooted at the region's first endpoint, aiming at the second.
+
+    Each node field is a list indexed by node id.  Node i is a checkpoint
+    exactly when i is in records.
+    """
 
     def __init__(self, root: Config, goal: Config, params: SprintParams):
+        super().__init__(root)
         self.root = root
         self.goal = goal
         self.params = params
-        self.nodes: list[LocalNode] = []
-        self.records: dict[int, CheckpointRecord] = {}
+        self.children: list[list[int]] = [[]]
+        # cached at insertion so checkpoint snapshots never re-measure the tree
+        self.d_goal = [dist(root, goal)]
+        self.d_root = [0.0]
+        # checkpoint ids on the root -> node path, node included when it is one
+        self.cp_chain: list[tuple[int, ...]] = [(0,)]
+        self.records = {0: CheckpointRecord(
+            best_goal_dist=self.d_goal[0], max_root_dist=0.0, obs_ring=self.new_obs_ring(),
+        )}
         # valid_node's memo for these params, held to skip the cache lookup
         self.stall_cutoffs = _stall_cutoffs(params.kappa, params.c_base,
                                             params.sigma_slack, params.n_scale)
-        n = LocalNode(id=0, config=root, parent=None, is_checkpoint=True,
-                      d_goal=dist(root, goal), d_root=0.0, cp_chain=(0,))
-        self.nodes.append(n)
-        self.records[0] = CheckpointRecord(
-            best_goal_dist=n.d_goal, max_root_dist=0.0, obs_ring=self.new_obs_ring(),
-        )
 
     def new_obs_ring(self) -> np.ndarray:
         return np.empty((self.params.k_obs, self.root.shape[0]))
 
-    def add_node(self, config: Config, parent: int) -> int:
-        nid = len(self.nodes)
-        p = self.nodes[parent]
-        self.nodes.append(LocalNode(id=nid, config=config, parent=parent,
-                                    d_goal=dist(config, self.goal),
-                                    d_root=dist(config, self.root),
-                                    cp_chain=p.cp_chain))
-        p.children.append(nid)
+    def add(self, q: Config, parent: int) -> int:
+        nid = super().add(q, parent)
+        self.children.append([])
+        self.children[parent].append(nid)
+        self.d_goal.append(dist(q, self.goal))
+        self.d_root.append(dist(q, self.root))
+        self.cp_chain.append(self.cp_chain[parent])
         return nid
-
-    def ancestors(self, node_id: int):
-        """Yield node ids from node_id up to and including the root."""
-        cur: int | None = node_id
-        while cur is not None:
-            yield cur
-            cur = self.nodes[cur].parent
 
     def subtree_ids(self, node_id: int) -> list[int]:
         out = []
@@ -131,14 +111,8 @@ class LocalTree:
         while todo:
             i = todo.pop()
             out.append(i)
-            todo.extend(self.nodes[i].children)
+            todo.extend(self.children[i])
         return out
-
-    def path_to_root(self, node_id: int) -> np.ndarray:
-        """Configs from root to node_id as an (n, d) array."""
-        chain = list(self.ancestors(node_id))
-        chain.reverse()
-        return np.array([self.nodes[i].config for i in chain])
 
 
 def subtree_sigma(n: int, params: SprintParams) -> float:
@@ -188,22 +162,18 @@ def _stall_cutoffs(kappa: float, c_base: float, sigma_slack: float,
     return {}
 
 
-def valid_node(node_id: int, tree: LocalTree, params: SprintParams) -> bool:
+def valid_node(node_id: int, tree: LocalTree) -> bool:
     """Gate a node for extension: every checkpoint on its root path must show
     recent exploitation or exploration progress, i.e. a gate probability
     exp(-x^2 / 2c^2) >= kappa for its stall count x."""
-    if params is tree.params:
-        cutoffs = tree.stall_cutoffs
-    else:
-        cutoffs = _stall_cutoffs(params.kappa, params.c_base, params.sigma_slack,
-                                 params.n_scale)
+    cutoffs = tree.stall_cutoffs
     records = tree.records
-    for cp in tree.nodes[node_id].cp_chain:
+    for cp in tree.cp_chain[node_id]:
         rec = records[cp]
         n = rec.subtree_node_count
         cutoff = cutoffs.get(n)
         if cutoff is None:
-            cutoff = cutoffs[n] = _stall_cutoff(n, params)
+            cutoff = cutoffs[n] = _stall_cutoff(n, tree.params)
         if min(rec.samples_since_exploit, rec.samples_since_explore) >= cutoff:
             return False
     return True
@@ -212,20 +182,16 @@ def valid_node(node_id: int, tree: LocalTree, params: SprintParams) -> bool:
 def collision_points(node_id: int, tree: LocalTree) -> np.ndarray:
     """Collision points stored at the nearest ancestor checkpoint of node_id,
     oldest first, as a (k, d) array."""
-    chain = tree.nodes[node_id].cp_chain
-    if not chain:
-        raise AssertionError("root must be a checkpoint")
-    return tree.records[chain[-1]].obs_points
+    return tree.records[tree.cp_chain[node_id][-1]].obs_points
 
 
 def backprop_progress(tree: LocalTree, new_node_id: int) -> None:
     """Propagate a freshly inserted free node's progress to every checkpoint
     on its path to the root."""
-    node = tree.nodes[new_node_id]
-    d_goal = node.d_goal
-    d_root = node.d_root
+    d_goal = tree.d_goal[new_node_id]
+    d_root = tree.d_root[new_node_id]
     eps = tree.params.eps_prog_eff
-    for cp in node.cp_chain:
+    for cp in tree.cp_chain[new_node_id]:
         rec = tree.records[cp]
         rec.subtree_node_count += 1
         if d_goal < rec.best_goal_dist - eps:
@@ -243,7 +209,7 @@ def backprop_progress(tree: LocalTree, new_node_id: int) -> None:
 def backprop_collision(tree: LocalTree, node_id: int, q_obs: Config) -> None:
     """Store an observed collision point at every checkpoint on the path
     node_id -> root; a collision is a sample without progress."""
-    for cp in tree.nodes[node_id].cp_chain:
+    for cp in tree.cp_chain[node_id]:
         rec = tree.records[cp]
         rec.push_obs(q_obs)
         rec.samples_since_exploit += 1
@@ -253,20 +219,17 @@ def backprop_collision(tree: LocalTree, node_id: int, q_obs: Config) -> None:
 def promote_checkpoint(tree: LocalTree, node_id: int) -> None:
     """Label a node that just gained its second child as a checkpoint, with a
     fresh record snapshotting its current subtree."""
-    node = tree.nodes[node_id]
-    if node.is_checkpoint:
+    records = tree.records
+    if node_id in records:
         return
     ids = tree.subtree_ids(node_id)
-    nodes = tree.nodes
-    node.is_checkpoint = True
-    node.cp_chain = node.cp_chain + (node_id,)
-    for i in ids:
-        if i != node_id:
-            n = nodes[i]
-            n.cp_chain = nodes[n.parent].cp_chain + ((i,) if n.is_checkpoint else ())
-    tree.records[node_id] = CheckpointRecord(
-        best_goal_dist=min(nodes[i].d_goal for i in ids),
-        max_root_dist=max(nodes[i].d_root for i in ids),
+    chain, parents = tree.cp_chain, tree.parents
+    chain[node_id] += (node_id,)
+    for i in ids[1:]:  # ids[0] is node_id
+        chain[i] = chain[parents[i]] + ((i,) if i in records else ())
+    records[node_id] = CheckpointRecord(
+        best_goal_dist=min(tree.d_goal[i] for i in ids),
+        max_root_dist=max(tree.d_root[i] for i in ids),
         subtree_node_count=len(ids),
         obs_ring=tree.new_obs_ring(),
     )
@@ -332,18 +295,18 @@ def _virtual_root_predecessor(tree: LocalTree) -> Config:
     return tree.root - tree.params.lam * unit(tree.goal - tree.root)
 
 
-def local_edge(node_id: int, tree: LocalTree, obs, params: SprintParams,
+def local_edge(node_id: int, tree: LocalTree, obs,
                rng: np.random.Generator) -> Config:
     """Gradient-ascent steered candidate for the next edge endpoint; the
     returned candidate always sits at distance lam from the extend node.
     obs is the extend node's collision points, as grad_g3 takes them."""
+    params = tree.params
     lam = params.lam
-    node = tree.nodes[node_id]
-    q_x = node.config
-    if node.parent is None:
+    q_x = tree.points[node_id]
+    if node_id == 0:
         q_p = _virtual_root_predecessor(tree)
     else:
-        q_p = tree.nodes[node.parent].config
+        q_p = tree.points[tree.parents[node_id]]
     # the candidate is tracked as its offset from q_x, which each ascent
     # step moves by eta * gradient and then rescales to length lam
     step = q_x - q_p
@@ -367,14 +330,6 @@ def local_edge(node_id: int, tree: LocalTree, obs, params: SprintParams,
     return q_c
 
 
-def _finish_path(tree: LocalTree, node_id: int) -> np.ndarray:
-    pts = tree.path_to_root(node_id)
-    last = pts[-1]
-    if not np.array_equal(last, tree.goal):
-        pts = np.vstack([pts, tree.goal])
-    return pts
-
-
 def local_search(root: Config, goal: Config, oracle: CollisionOracle,
                  params: SprintParams, rng: np.random.Generator,
                  budget: int | None = None,
@@ -388,8 +343,8 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
     check of the goal passes (the short terminal edge carries no interior
     checks), or Exhausted when the stack empties or the budget runs out.
 
-    gate_fn/edge_fn override the culling and extension heuristics; used by
-    the ablation harness.
+    gate_fn/edge_fn override valid_node and local_edge, with their
+    signatures; used by the ablation harness.
     """
     if np.array_equal(root, goal):
         raise ValueError("local search requires root != goal")
@@ -399,6 +354,8 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
         budget = min(budget, params.max_local_samples)
     start_count = oracle.sample_count
     tree = LocalTree(root, goal, params)
+    gate = gate_fn or valid_node
+    edge = edge_fn or local_edge
 
     goal_reach = params.lam * (1.0 + 1e-9)  # tolerance for exact-multiple spans
     if dist(root, goal) <= goal_reach and oracle.is_free(goal):
@@ -410,26 +367,19 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
         if oracle.sample_count - start_count >= budget:
             break
         node_id, retries = stack.pop()
-        if gate_fn is not None:
-            ok = gate_fn(node_id, tree, params, rng)
-        else:
-            ok = valid_node(node_id, tree, params)
-        if not ok:
+        if not gate(node_id, tree):
             continue
         obs = collision_points(node_id, tree)
-        if edge_fn is not None:
-            q_c = edge_fn(node_id, tree, obs, params, rng)
-        else:
-            q_c = local_edge(node_id, tree, obs, params, rng)
+        q_c = edge(node_id, tree, obs, rng)
         if oracle.is_free(q_c):
-            child = tree.add_node(q_c, node_id)
+            child = tree.add(q_c, node_id)
             backprop_progress(tree, child)
-            if tree.nodes[node_id].child_count >= 2:
+            if len(tree.children[node_id]) >= 2:
                 promote_checkpoint(tree, node_id)
             if retries - 1 > 0:
                 # parent stays reachable below the new branch for backtracking
                 stack.append((node_id, retries - 1))
-            if tree.nodes[child].d_goal <= goal_reach and oracle.is_free(goal):
+            if tree.d_goal[child] <= goal_reach and oracle.is_free(goal):
                 reached = child
                 break
             stack.append((child, params.r_retry))
@@ -440,5 +390,8 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
 
     samples_used = oracle.sample_count - start_count
     if reached is not None:
-        return LocalResult(LocalStatus.REACHED, _finish_path(tree, reached), samples_used)
+        path = tree.path_to(reached)
+        if not np.array_equal(path[-1], goal):
+            path.append(goal)
+        return LocalResult(LocalStatus.REACHED, np.array(path), samples_used)
     return LocalResult(LocalStatus.EXHAUSTED, None, samples_used)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -67,8 +68,9 @@ def params_from_json(obj) -> SprintParams:
     """SprintParams from a parsed JSON object of field overrides.
 
     Raises ValueError for a non-object, an unknown field, or a value of the
-    wrong type (int fields take integers, float fields any finite number,
-    eta and eps_prog also null), so bad config files give a one-line error.
+    wrong type (int fields take integers, float fields any finite number
+    that fits a float, eta and eps_prog also null), so bad config files give
+    a one-line error.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
@@ -82,7 +84,7 @@ def params_from_json(obj) -> SprintParams:
         elif isinstance(value, bool):
             ok = False
         elif isinstance(value, int):
-            ok = True
+            ok = kind == "int" or abs(value) <= sys.float_info.max
         else:
             ok = kind != "int" and isinstance(value, float) and math.isfinite(value)
         if not ok:

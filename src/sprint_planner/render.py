@@ -25,7 +25,7 @@ def render_svg(scene: Scene, samples=None, trees=None, path=None,
     """Render a 2-D scene with oracle samples, search trees, and the final path.
 
     samples is a list of (config, free) pairs; trees a sequence of
-    `global_planner.Tree`, each non-root node drawn as one segment from its
+    `geometry.Tree`, each non-root node drawn as one segment from its
     parent, tree by tree in node order; path an (n, 2) polyline or None.
     """
     check_renderable(scene)

@@ -160,7 +160,7 @@ def _field(data: dict, key: str, convert):
         raise ValueError(f"missing field {key!r}")
     try:
         return convert(data[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"field {key!r}: {e}") from None
 
 

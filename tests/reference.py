@@ -3,7 +3,7 @@
 The library runs the fast forms: `_PairSelector` for region selection,
 `local_planner.grad_g3` for the repulsion, the kd-tree-pruned
 `bench.delta_useful_ratio`, the early-exit `CollisionOracle.is_free` and the
-cached `LocalNode.cp_chain`.  The plain versions here recompute everything
+cached `LocalTree.cp_chain`.  The plain versions here recompute everything
 from scratch and are what the equivalence tests compare those against.
 """
 
@@ -162,5 +162,5 @@ def is_free_reference(scene: Scene, q: Config) -> bool:
 
 def checkpoint_path(tree, node_id: int) -> list[int]:
     """Checkpoint ids on the path node_id -> root (inclusive of both ends),
-    read from the node's cached `cp_chain`."""
-    return list(reversed(tree.nodes[node_id].cp_chain))
+    read from the tree's cached `cp_chain`."""
+    return list(reversed(tree.cp_chain[node_id]))

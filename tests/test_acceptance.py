@@ -6,6 +6,7 @@ over fixed seed ranges, so their numbers are reproducible bit-for-bit on
 any machine; the wall-clock limits are asserted from fresh measurements.
 """
 
+import collections
 import csv
 import math
 import statistics
@@ -230,14 +231,14 @@ class TestCriterion7HeuristicMath:
         p = SprintParams(lam=lam)
         checks.append(p.kappa == 0.3)
         tree = LocalTree(np.zeros(2), np.ones(2), p)
-        checks.append(valid_node(0, tree, p))  # g(0) = 1 passes any kappa < 1
+        checks.append(valid_node(0, tree))  # g(0) = 1 passes any kappa < 1
         c = subtree_sigma(1, p)
         gs = [math.exp(-(x * x) / (2 * c * c)) for x in range(0, 200, 10)]
         checks.append(all(a >= b for a, b in zip(gs, gs[1:])))
         cutoff = c * math.sqrt(-2.0 * math.log(p.kappa))
         rec = tree.records[0]
         rec.samples_since_exploit = rec.samples_since_explore = int(cutoff) + 1
-        checks.append(not valid_node(0, tree, p))
+        checks.append(not valid_node(0, tree))
 
         # region-selection argmax is invariant under positive weight scaling
         goal = np.array([0.9, 0.5])
@@ -258,6 +259,15 @@ class TestCriterion7HeuristicMath:
         assert ok, line
 
 
+def _ancestors(tree, i):
+    """Node ids from i up to and including the root, by the parents list."""
+    out = []
+    while i != -1:
+        out.append(i)
+        i = tree.parents[i]
+    return out
+
+
 class TestCriterion8StructuralInvariants:
     def test_structural_invariants(self):
         t0 = time.perf_counter()
@@ -269,15 +279,16 @@ class TestCriterion8StructuralInvariants:
             tree = LocalTree(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2),
                              SprintParams(lam=0.05))
             for _ in range(60):
-                parent = int(rng.integers(len(tree.nodes)))
-                tree.add_node(rng.uniform(0, 1, 2), parent)
-                if tree.nodes[parent].child_count >= 2:
+                parent = int(rng.integers(len(tree.points)))
+                tree.add(rng.uniform(0, 1, 2), parent)
+                if len(tree.children[parent]) >= 2:
                     promote_checkpoint(tree, parent)
-            scan = {n.id for n in tree.nodes if n.child_count >= 2} | {0}
-            marked = {n.id for n in tree.nodes if n.is_checkpoint}
-            checks.append(marked == scan == set(tree.records))
-            for nid in range(len(tree.nodes)):
-                expect = [i for i in tree.ancestors(nid) if tree.nodes[i].is_checkpoint]
+            # node i is a checkpoint exactly when i is in records
+            child_counts = collections.Counter(tree.parents[1:])
+            scan = {i for i, n in child_counts.items() if n >= 2} | {0}
+            checks.append(scan == set(tree.records))
+            for nid in range(len(tree.points)):
+                expect = [i for i in _ancestors(tree, nid) if i in tree.records]
                 checks.append(checkpoint_path(tree, nid) == expect)
 
         # nearest-neighbor index vs linear scan, 1000 points x 100 queries

@@ -1,7 +1,8 @@
 """Fixed-seed outcomes: the default SPRINT planner on the high-dimensional
 fixtures, the uniform region choice (`sprint:no-pr1`, the scorer's
-select_random path) on a 2-D and a 10-D fixture, and both baselines on the
-same two fixtures.
+select_random path) on a 2-D and a 10-D fixture, the heuristic-override
+ablations (`sprint:no-pr2`, `sprint:no-pr3`, `sprint:random-params`) on
+`single_box_2d`, and both baselines on the same two fixtures.
 
 A change that is meant to keep behaviour must keep these (status,
 total_samples) pairs, the path bytes of SPRINT on the high-dimensional
@@ -41,6 +42,24 @@ PINNED_RANDOM_SELECT = {
                           ("Solved", 1692), ("Solved", 10384)],
     "box_maze_10d": [("Solved", 2075), ("Solved", 13677), ("Solved", 16173),
                      ("Solved", 8000), ("Solved", 2155)],
+}
+
+# (status, total_samples, first 16 hex digits of sha256(path.tobytes())),
+# single_box_2d, seeds 0-4: the coin-flip gate, the random edge and the
+# perturbed parameters each reach the local search through an override
+PINNED_ABLATIONS = {
+    "sprint:no-pr2": [
+        ("Solved", 934, "207b93a81ce97ebb"), ("Solved", 5409, "8f85a27ff03c3419"),
+        ("Solved", 3593, "3088993909accf50"), ("Solved", 1417, "b5ca92f954d84e42"),
+        ("Solved", 4525, "a4428fcc4882c115")],
+    "sprint:no-pr3": [
+        ("Solved", 24997, "79a46192599f3867"), ("Solved", 37952, "03cf6371d0f314ed"),
+        ("Solved", 47951, "747dc8b0f8150e8a"), ("Solved", 31526, "f702030ece98a7ca"),
+        ("BudgetExhausted", 50000, None)],
+    "sprint:random-params": [
+        ("Solved", 107, "59cbc3d8fe5f4a92"), ("Solved", 104, "80850ab8d8ef1e88"),
+        ("Solved", 118, "a8d66b4be8cd6dae"), ("Solved", 118, "550e718ca11f8d83"),
+        ("Solved", 96, "dece215b2ab4ca1c")],
 }
 
 # (status, total_samples, first 16 hex digits of sha256(path.tobytes()))
@@ -139,6 +158,14 @@ def test_baseline_trajectories_are_pinned(planner, name):
             hashlib.sha256(res.path.tobytes()).hexdigest()[:16])
            for rec, res in _trials(planner, name)]
     assert got == PINNED_BASELINES[planner, name]
+
+
+@pytest.mark.parametrize("planner", sorted(PINNED_ABLATIONS))
+def test_ablation_trajectories_are_pinned(planner):
+    got = [(rec.status, rec.total_samples,
+            None if res.path is None else hashlib.sha256(res.path.tobytes()).hexdigest()[:16])
+           for rec, res in _trials(planner, "single_box_2d")]
+    assert got == PINNED_ABLATIONS[planner]
 
 
 @pytest.mark.parametrize("planner, name", sorted(PINNED_RATIOS))

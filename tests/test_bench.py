@@ -236,10 +236,18 @@ class TestAblation:
 
     def test_coin_gate_is_fair_coin(self):
         _, v = apply_ablation(SprintParams(), AblationMode.NO_PR2,
-                              np.random.default_rng(0))
-        rng = np.random.default_rng(3)
-        accepts = sum(v.gate_fn(0, None, None, rng) for _ in range(4000))
+                              np.random.default_rng(3))
+        accepts = sum(v.gate_fn(0, None) for _ in range(4000))
         assert 1800 < accepts < 2200
+
+    def test_coin_gate_draws_from_the_ablation_generator(self):
+        # run_trial hands the planner the generator apply_ablation received,
+        # so the coin flips keep their place in the trial's draw sequence
+        _, v = apply_ablation(SprintParams(), AblationMode.NO_PR2,
+                              np.random.default_rng(3))
+        twin = np.random.default_rng(3)
+        assert ([v.gate_fn(0, None) for _ in range(64)]
+                == [bool(twin.random() < 0.5) for _ in range(64)])
 
     def test_random_edge_has_unit_scaled_length(self):
         p = SprintParams(lam=0.02)
@@ -248,7 +256,7 @@ class TestAblation:
         t = LocalTree(np.array([0.2, 0.2]), np.array([0.8, 0.8]), p)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            q = v.edge_fn(0, t, [], p, rng)
+            q = v.edge_fn(0, t, [], rng)
             assert np.linalg.norm(q - t.root) == pytest.approx(p.lam, abs=1e-12)
 
 

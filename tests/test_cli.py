@@ -5,6 +5,13 @@ import pytest
 
 from sprint_planner.cli import main
 
+# free space is the sliver [0, 1e-6]^2, so milestone rejection sampling
+# gives up before it draws a free point
+NO_FREE_SPACE = {"name": "tiny", "lower": [0, 0], "upper": [1, 1], "obstacles": [
+    {"type": "box", "min": [1e-6, -1], "max": [2, 2]},
+    {"type": "box", "min": [-1, 1e-6], "max": [2, 2]}]}
+NO_FREE_SPACE_ERROR = "error: no free sample found in 100000 attempts\n"
+
 
 class TestPlanCommand:
     def test_fixture_run(self, capsys):
@@ -105,6 +112,16 @@ class TestPlanCommand:
         assert captured.err == "error: q_init equals q_goal\n"
         assert "status=" not in captured.out
 
+    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
+        scene = tmp_path / "tiny.json"
+        scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
+        rc = main(["plan", "--scene", str(scene), "--start", "0,0",
+                   "--goal", "0.0000005,0", "--max-samples", "1000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == NO_FREE_SPACE_ERROR
+        assert "status=" not in captured.out
+
     def test_svg_of_a_non_2d_scene_fails_before_the_trial(self, tmp_path, capsys, monkeypatch):
         def no_trial(*args, **kwargs):
             raise AssertionError("the trial ran")
@@ -132,6 +149,7 @@ class TestPlanCommand:
         ({"k_obs": 2.5}, "k_obs"),
         ({"ascent_iters": True}, "ascent_iters"),
         ({"c_base": float("nan")}, "c_base"),
+        ({"lam": 10 ** 400}, "lam"),
         ({"lam": float("inf")}, "lam"),
         ([0.1], "JSON object"),
     ])
@@ -185,6 +203,8 @@ class TestBenchCommand:
         ({"planners": [1]}, "planners"),
         ({"svg": "yes"}, "svg"),
         ({"endpoints": {"empty_2d": [[0.1, 0.1]]}}, "endpoints"),
+        ({"endpoints": {"empty_2d": [[10 ** 400, 0.1], [0.9, 0.9]]}}, "endpoints"),
+        ({"endpoints": {"empty_2d": [[float("nan"), 0.1], [0.9, 0.9]]}}, "endpoints"),
         ({"seed": 3}, "seed"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
@@ -199,6 +219,18 @@ class TestBenchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
         assert not (out / "results.csv").exists()
+
+    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
+        scene = tmp_path / "tiny.json"
+        scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "scenes": [str(scene)], "planners": ["sprint"], "seeds": [0],
+            "max_samples": 1000, "endpoints": {str(scene): [[0, 0], [0.0000005, 0]]},
+        }), encoding="utf-8")
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == NO_FREE_SPACE_ERROR
 
     def test_seed_list_and_endpoints(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"

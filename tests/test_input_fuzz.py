@@ -1,0 +1,104 @@
+"""Fuzzing of the outside input the library reads: scene JSON objects, grid
+config files and CLI points.  Each loader either returns or raises
+ValueError (the CLI turns that into a one-line error); any other exception
+would reach the user as a traceback.  derandomize=True makes the examples a
+fixed function of the test, so a run is repeatable."""
+
+import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sprint_planner.bench import load_grid_config
+from sprint_planner.cli import _parse_point
+from sprint_planner.params import SprintParams
+from sprint_planner.world import scene_from_dict
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# st.integers() alone stays far below the float range; the wide draws give
+# integers no float can hold
+ints = st.integers() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+scalars = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8)
+values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids,
+                                                              max_size=4),
+    max_leaves=16)
+# mostly well-formed coordinate lists, so the loaders get past their
+# first check
+coords = st.lists(ints | st.floats(), min_size=1, max_size=3) | values
+
+obstacles = st.fixed_dictionaries(
+    {"type": st.sampled_from(["box", "sphere"]) | values},
+    optional={"min": coords, "max": coords, "center": coords,
+              "radius": ints | st.floats() | values})
+scenes = st.fixed_dictionaries({}, optional={
+    "name": values, "lower": coords, "upper": coords,
+    "obstacles": st.lists(obstacles | values, max_size=3) | values,
+}) | values
+
+param_names = st.sampled_from([f.name for f in fields(SprintParams)]) | st.text(max_size=6)
+names = st.lists(st.text(max_size=8), min_size=1, max_size=3)
+# "scenes" and "planners" are checked first, so they are mostly well formed
+grids = st.fixed_dictionaries({
+    "scenes": names | values,
+    "planners": names | values,
+}, optional={
+    "seeds": (st.fixed_dictionaries({}, optional={"start": ints | scalars,
+                                                  "count": ints | scalars})
+              | st.lists(scalars, max_size=4) | values),
+    "max_samples": scalars,
+    "params": st.dictionaries(param_names, scalars, max_size=4) | values,
+    "svg": scalars,
+    "endpoints": st.dictionaries(st.text(max_size=6),
+                                 st.lists(coords, max_size=3), max_size=2) | values,
+    "extra": values,
+}) | values
+
+
+def _returns_or_raises_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(scenes)
+@example({"name": "x", "lower": [0, 0], "upper": [1, 1],
+          "obstacles": [{"type": "sphere", "center": [0.5, 0.5], "radius": 10 ** 400}]})
+def test_scene_from_dict(data):
+    _returns_or_raises_value_error(scene_from_dict, data)
+
+
+@FUZZ
+@given(grids)
+@example({"scenes": ["empty_2d"], "planners": ["sprint"],
+          "seeds": {"start": 0, "count": 2 ** 70}})
+def test_load_grid_config_from_json(cfg):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "grid.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        _returns_or_raises_value_error(load_grid_config, path)
+
+
+@FUZZ
+@given(st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+def test_load_grid_config_from_raw_bytes(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "grid.json"
+        path.write_bytes(raw)
+        _returns_or_raises_value_error(load_grid_config, path)
+
+
+@FUZZ
+@given(st.text(max_size=32)
+       | st.lists(st.floats().map(repr) | ints.map(str) | st.text(max_size=4),
+                  max_size=4).map(",".join))
+def test_parse_point(text):
+    _returns_or_raises_value_error(_parse_point, "--start", text)

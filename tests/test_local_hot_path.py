@@ -152,7 +152,7 @@ class TestCachedCutoffGate:
             for x in range(401):
                 rec.samples_since_exploit = rec.samples_since_explore = x
                 expect = not math.exp(-(x * x) / (2.0 * c * c)) < p.kappa
-                if valid_node(0, tree, p) != expect:
+                if valid_node(0, tree) != expect:
                     pytest.fail(f"n={n} x={x}: gate {not expect}, formula {expect}")
 
     def test_never_rejecting_sigma_passes(self):
@@ -161,7 +161,7 @@ class TestCachedCutoffGate:
         tree = LocalTree(np.zeros(2), np.ones(2), p)
         rec = tree.records[0]
         rec.samples_since_exploit = rec.samples_since_explore = 10 ** 9
-        assert valid_node(0, tree, p)
+        assert valid_node(0, tree)
 
 
 class TestObsRing:
@@ -173,16 +173,16 @@ class TestObsRing:
             tree = LocalTree(rng.uniform(0, 1, 3), rng.uniform(0, 1, 3), p)
             model = {0: deque(maxlen=k_obs)}
             for _ in range(200):
-                nid = int(rng.integers(len(tree.nodes)))
+                nid = int(rng.integers(len(tree.points)))
                 if rng.random() < 0.4:
-                    tree.add_node(rng.uniform(0, 1, 3), nid)
-                    if tree.nodes[nid].child_count >= 2 and nid not in model:
+                    tree.add(rng.uniform(0, 1, 3), nid)
+                    if len(tree.children[nid]) >= 2 and nid not in model:
                         promote_checkpoint(tree, nid)
                         model[nid] = deque(maxlen=k_obs)
                 else:
                     q = rng.uniform(0, 1, 3)
                     backprop_collision(tree, nid, q)
-                    for cp in tree.nodes[nid].cp_chain:
+                    for cp in tree.cp_chain[nid]:
                         model[cp].append(q.copy())
                     q[:] = -1.0  # the ring keeps its own copy
             assert set(model) == set(tree.records)
@@ -191,7 +191,7 @@ class TestObsRing:
                 assert got.shape == (len(pts), 3)
                 assert len(pts) <= k_obs
                 np.testing.assert_array_equal(got, np.array(pts).reshape(-1, 3))
-            for nid in range(len(tree.nodes)):
-                expect = model[tree.nodes[nid].cp_chain[-1]]
+            for nid in range(len(tree.points)):
+                expect = model[tree.cp_chain[nid][-1]]
                 np.testing.assert_array_equal(collision_points(nid, tree),
                                               np.array(expect).reshape(-1, 3))

@@ -33,44 +33,45 @@ def scan_checkpoint_path(tree, node_id):
     """Independent checkpoint-path oracle: walk parents, keep checkpoints."""
     out = []
     cur = node_id
-    while cur is not None:
-        if tree.nodes[cur].is_checkpoint:
+    while cur != -1:
+        if cur in tree.records:
             out.append(cur)
-        cur = tree.nodes[cur].parent
+        cur = tree.parents[cur]
     return out
 
 
 class TestLocalTree:
     def test_root_is_checkpoint(self):
         t = simple_tree()
-        assert t.nodes[0].is_checkpoint
         assert 0 in t.records
+        assert t.cp_chain[0] == (0,)
         assert t.records[0].best_goal_dist == pytest.approx(dist(t.root, t.goal))
         assert t.records[0].max_root_dist == 0.0
 
-    def test_add_node_links_and_caches(self):
+    def test_add_links_and_caches(self):
         t = simple_tree()
         q = np.array([0.2, 0.1])
-        nid = t.add_node(q, 0)
-        n = t.nodes[nid]
-        assert n.parent == 0
-        assert nid in t.nodes[0].children
-        assert n.d_goal == pytest.approx(dist(q, t.goal))
-        assert n.d_root == pytest.approx(dist(q, t.root))
-        assert n.cp_chain == (0,)
+        nid = t.add(q, 0)
+        assert nid == 1 and t.points[nid] is q
+        assert t.parents[nid] == 0
+        assert t.children == [[nid], []]
+        assert t.d_goal[nid] == pytest.approx(dist(q, t.goal))
+        assert t.d_root[nid] == pytest.approx(dist(q, t.root))
+        assert t.cp_chain[nid] == (0,)
+        assert nid not in t.records
 
     def test_chain_of_nodes(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        b = t.add_node(np.array([0.3, 0.1]), a)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        b = t.add(np.array([0.3, 0.1]), a)
         assert checkpoint_path(t, b) == [0]
-        assert list(t.ancestors(b)) == [b, a, 0]
+        assert t.parents == [-1, 0, a]
 
-    def test_path_to_root(self):
+    def test_path_to(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        b = t.add_node(np.array([0.3, 0.1]), a)
-        path = t.path_to_root(b)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        b = t.add(np.array([0.3, 0.1]), a)
+        path = np.array(t.path_to(b))
         np.testing.assert_array_equal(path[0], t.root)
         np.testing.assert_array_equal(path[-1], np.array([0.3, 0.1]))
         assert path.shape == (3, 2)
@@ -79,34 +80,34 @@ class TestLocalTree:
 class TestCheckpointPromotion:
     def test_second_child_promotes(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        b = t.add_node(np.array([0.3, 0.1]), a)
-        c = t.add_node(np.array([0.3, 0.2]), a)
-        assert not t.nodes[a].is_checkpoint
+        a = t.add(np.array([0.2, 0.1]), 0)
+        b = t.add(np.array([0.3, 0.1]), a)
+        c = t.add(np.array([0.3, 0.2]), a)
+        assert a not in t.records
         promote_checkpoint(t, a)
-        assert t.nodes[a].is_checkpoint
-        assert t.nodes[a].cp_chain == (0, a)
-        assert t.nodes[b].cp_chain == (0, a)
-        assert t.nodes[c].cp_chain == (0, a)
+        assert a in t.records
+        assert t.cp_chain[a] == (0, a)
+        assert t.cp_chain[b] == (0, a)
+        assert t.cp_chain[c] == (0, a)
 
     def test_promotion_snapshot_matches_full_scan(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        b = t.add_node(np.array([0.3, 0.15]), a)
-        t.add_node(np.array([0.25, 0.2]), a)
-        t.add_node(np.array([0.4, 0.2]), b)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        b = t.add(np.array([0.3, 0.15]), a)
+        t.add(np.array([0.25, 0.2]), a)
+        t.add(np.array([0.4, 0.2]), b)
         promote_checkpoint(t, a)
         rec = t.records[a]
         ids = t.subtree_ids(a)
         assert rec.subtree_node_count == len(ids)
-        assert rec.best_goal_dist == pytest.approx(min(t.nodes[i].d_goal for i in ids))
-        assert rec.max_root_dist == pytest.approx(max(t.nodes[i].d_root for i in ids))
+        assert rec.best_goal_dist == pytest.approx(min(t.d_goal[i] for i in ids))
+        assert rec.max_root_dist == pytest.approx(max(t.d_root[i] for i in ids))
 
     def test_promotion_is_idempotent(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        t.add_node(np.array([0.3, 0.1]), a)
-        t.add_node(np.array([0.3, 0.2]), a)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        t.add(np.array([0.3, 0.1]), a)
+        t.add(np.array([0.3, 0.2]), a)
         promote_checkpoint(t, a)
         rec = t.records[a]
         promote_checkpoint(t, a)
@@ -117,12 +118,12 @@ class TestCheckpointPromotion:
         for _ in range(20):
             t = simple_tree()
             for _ in range(40):
-                parent = int(rng.integers(len(t.nodes)))
+                parent = int(rng.integers(len(t.points)))
                 q = rng.uniform(0.0, 1.0, size=2)
-                t.add_node(q, parent)
-                if t.nodes[parent].child_count >= 2:
+                t.add(q, parent)
+                if len(t.children[parent]) >= 2:
                     promote_checkpoint(t, parent)
-            for nid in range(len(t.nodes)):
+            for nid in range(len(t.points)):
                 assert checkpoint_path(t, nid) == scan_checkpoint_path(t, nid)
 
 
@@ -131,10 +132,10 @@ class TestBackprop:
         t = simple_tree()
         rec = t.records[0]
         rec.samples_since_exploit = 5
-        a = t.add_node(np.array([0.5, 0.5]), 0)  # much closer to the goal
+        a = t.add(np.array([0.5, 0.5]), 0)  # much closer to the goal
         backprop_progress(t, a)
         assert rec.samples_since_exploit == 0
-        assert rec.best_goal_dist == pytest.approx(t.nodes[a].d_goal)
+        assert rec.best_goal_dist == pytest.approx(t.d_goal[a])
         assert rec.samples_since_explore == 0
         assert rec.subtree_node_count == 2
 
@@ -145,16 +146,16 @@ class TestBackprop:
         # improve by less than the progress threshold
         step = p.eps_prog_eff / 4.0
         q = t.goal + (t.root - t.goal) * ((base - step) / base)
-        a = t.add_node(q, 0)
+        a = t.add(q, 0)
         backprop_progress(t, a)
         assert t.records[0].samples_since_exploit == 1
         assert t.records[0].best_goal_dist == pytest.approx(base)
 
     def test_collision_feeds_every_checkpoint_on_path(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        t.add_node(np.array([0.3, 0.1]), a)
-        t.add_node(np.array([0.3, 0.2]), a)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        t.add(np.array([0.3, 0.1]), a)
+        t.add(np.array([0.3, 0.2]), a)
         promote_checkpoint(t, a)
         q_obs = np.array([0.35, 0.1])
         backprop_collision(t, a, q_obs)
@@ -175,9 +176,9 @@ class TestBackprop:
 
     def test_collision_points_come_from_nearest_checkpoint(self):
         t = simple_tree()
-        a = t.add_node(np.array([0.2, 0.1]), 0)
-        b = t.add_node(np.array([0.3, 0.1]), a)
-        t.add_node(np.array([0.3, 0.2]), a)
+        a = t.add(np.array([0.2, 0.1]), 0)
+        b = t.add(np.array([0.3, 0.1]), a)
+        t.add(np.array([0.3, 0.2]), a)
         promote_checkpoint(t, a)
         backprop_collision(t, 0, np.array([0.9, 0.0]))
         backprop_collision(t, b, np.array([0.5, 0.0]))
@@ -200,19 +201,19 @@ class TestCullingGate:
     def test_fresh_node_passes(self):
         # zero stalled samples gives gate probability exactly one
         t = simple_tree()
-        assert valid_node(0, t, params())
+        assert valid_node(0, t)
 
     def test_stalled_checkpoint_blocks_descendants(self):
         p = params()
         t = simple_tree(p)
-        a = t.add_node(np.array([0.2, 0.1]), 0)
+        a = t.add(np.array([0.2, 0.1]), 0)
         rec = t.records[0]
         c = subtree_sigma(rec.subtree_node_count, p)
         # push the stall counters just past the kappa cutoff
         x = int(math.ceil(c * math.sqrt(-2.0 * math.log(p.kappa)))) + 1
         rec.samples_since_exploit = x
         rec.samples_since_explore = x
-        assert not valid_node(a, t, p)
+        assert not valid_node(a, t)
 
     def test_gate_uses_smaller_stall_counter(self):
         p = params()
@@ -220,7 +221,7 @@ class TestCullingGate:
         rec = t.records[0]
         rec.samples_since_exploit = 10 ** 6
         rec.samples_since_explore = 0  # exploration still making progress
-        assert valid_node(0, t, p)
+        assert valid_node(0, t)
 
     def test_gate_probability_matches_kappa_boundary(self):
         p = params()
@@ -229,9 +230,9 @@ class TestCullingGate:
         c = subtree_sigma(1, p)
         x_pass = math.floor(c * math.sqrt(-2.0 * math.log(p.kappa)))
         rec.samples_since_exploit = rec.samples_since_explore = x_pass
-        assert valid_node(0, t, p)
+        assert valid_node(0, t)
         rec.samples_since_exploit = rec.samples_since_explore = x_pass + 1
-        assert not valid_node(0, t, p)
+        assert not valid_node(0, t)
 
 
 class TestGradients:
@@ -299,16 +300,16 @@ class TestLocalEdge:
             t = LocalTree(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2), p)
             node = 0
             for _ in range(int(rng.integers(0, 4))):
-                q = t.nodes[node].config + rng.normal(size=2) * p.lam
-                node = t.add_node(q, node)
+                q = t.points[node] + rng.normal(size=2) * p.lam
+                node = t.add(q, node)
             obs = [rng.uniform(0, 1, 2)] if rng.random() < 0.5 else []
-            q_c = local_edge(node, t, obs, p, rng)
-            assert dist(q_c, t.nodes[node].config) == pytest.approx(p.lam, abs=1e-12)
+            q_c = local_edge(node, t, obs, rng)
+            assert dist(q_c, t.points[node]) == pytest.approx(p.lam, abs=1e-12)
 
     def test_first_extension_heads_toward_goal(self):
         p = params()
         t = LocalTree(np.array([0.1, 0.5]), np.array([0.9, 0.5]), p)
-        q_c = local_edge(0, t, [], p, np.random.default_rng(0))
+        q_c = local_edge(0, t, [], np.random.default_rng(0))
         np.testing.assert_allclose(q_c, [0.1 + p.lam, 0.5], atol=1e-9)
 
 

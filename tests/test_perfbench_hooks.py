@@ -1,0 +1,41 @@
+"""The benchmark's per-layer tracer patches library functions by module name
+(`perfbench/tracing.py`, HOOKS).  A function that is renamed, or bound where
+the patch cannot reach it (a default argument, a module-level alias), leaves
+its layer reading zero.  These checks load the tracer as it is and run one
+traced SPRINT trial."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from sprint_planner.bench import run_trial
+from sprint_planner.params import SprintParams
+from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_target_exists(tracing):
+    assert tracing.Tracer().absent == []
+
+
+def test_traced_sprint_trial_reaches_the_local_hooks(tracing):
+    name = "single_box_2d"
+    start, goal = fixture_endpoints(name)
+    tracer = tracing.Tracer()
+    with tracer.trial({}):
+        rec, _, _ = run_trial("sprint", fixture_scene(name), start, goal, 0,
+                              SprintParams(lam=fixture_lam(name)), 50_000)
+    calls = {layer: acc[0] for layer, acc in tracer.trials[0]["layers"].items()}
+    assert calls.get("local_planner.valid_node", 0) >= 1
+    assert calls.get("local_planner.local_edge", 0) >= 1
+    assert calls.get("world.is_free", 0) == rec.total_samples
