@@ -149,9 +149,9 @@ class TestPlanCommand:
         ({"k_obs": 2.5}, "k_obs"),
         ({"ascent_iters": True}, "ascent_iters"),
         ({"c_base": float("nan")}, "c_base"),
-        ({"lam": 10 ** 400}, "lam"),
         ({"lam": float("inf")}, "lam"),
         ([0.1], "JSON object"),
+        ({"lam": 10 ** 400}, "lam"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -203,9 +203,9 @@ class TestBenchCommand:
         ({"planners": [1]}, "planners"),
         ({"svg": "yes"}, "svg"),
         ({"endpoints": {"empty_2d": [[0.1, 0.1]]}}, "endpoints"),
+        ({"seed": 3}, "seed"),
         ({"endpoints": {"empty_2d": [[10 ** 400, 0.1], [0.9, 0.9]]}}, "endpoints"),
         ({"endpoints": {"empty_2d": [[float("nan"), 0.1], [0.9, 0.9]]}}, "endpoints"),
-        ({"seed": 3}, "seed"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"
