@@ -13,19 +13,11 @@ from .global_planner import PlanResult, Tree, check_endpoints
 from .params import BaselineParams
 from .world import CollisionOracle
 
-# Most random targets drawn ahead at once.  scipy's per-call overhead
+# Random targets drawn ahead per tree at once.  scipy's per-call overhead
 # dominates a single kd-tree query, so answering a block in one stacked query
 # is cheaper per target; a larger block wastes more draws and queries at the
 # end of a trial and on each rebuild that lands mid-block.
 TARGET_BLOCK = 128
-
-
-def _block_size(nodes: int) -> int:
-    """Targets to draw ahead for a tree of `nodes` nodes.  A small tree has
-    no scipy index to batch against yet, and a short trial should not pay
-    for draws it never uses, so a block holds at most a quarter of the tree
-    plus one."""
-    return min(TARGET_BLOCK, nodes // 4 + 1)
 
 
 class KdTree:
@@ -192,7 +184,7 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     carry = np.empty(0)
     while oracle.sample_count - start_count < params.max_samples:
         if not kd.queued:
-            targets, carry = _rrt_targets(rng, _block_size(len(kd)), lo, hi,
+            targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi,
                                           q_goal, params.goal_bias, carry)
             kd.queue(targets)
         q_rand = kd.next_target()
@@ -240,12 +232,11 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     while budget_left():
         if not ta.kd.queued:
             # row i holds the values iteration i drew on its own before, from
-            # one call instead of 2n calls with array bounds.  Both queues get
-            # n rows and the trees swap every iteration, so the queues run dry
-            # together, with `ta` the start tree: even rows are its targets
-            # and odd rows the goal tree's
-            n = _block_size(len(ta.kd) + len(tb.kd))
-            block = rng.uniform(lo, hi, size=(2 * n, dim))
+            # one call instead of one call per row with array bounds.  Both
+            # queues get TARGET_BLOCK rows and the trees swap every iteration,
+            # so the queues run dry together, with `ta` the start tree: even
+            # rows are its targets and odd rows the goal tree's
+            block = rng.uniform(lo, hi, size=(2 * TARGET_BLOCK, dim))
             ta.kd.queue(block[0::2])
             tb.kd.queue(block[1::2])
         q_rand = ta.kd.next_target()

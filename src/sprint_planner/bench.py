@@ -180,12 +180,12 @@ def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int
     oracle = CollisionOracle(scene, record_samples=record_samples)
     rng = np.random.default_rng(seed)
     if base == "sprint":
-        p = replace(params, max_total_samples=max_samples, seed=seed)
+        p = replace(params, max_total_samples=max_samples)
         p2, variant = apply_ablation(p, mode, rng)
         result = global_planner.plan(start, goal, oracle, p2, rng, variant=variant)
         delta = 2.0 * p2.lam
     else:
-        bp = BaselineParams(step=params.lam, max_samples=max_samples, seed=seed)
+        bp = BaselineParams(step=params.lam, max_samples=max_samples)
         fn = baselines.rrt_plan if base == "rrt" else baselines.rrt_connect_plan
         result = fn(start, goal, oracle, bp, rng)
         delta = 2.0 * params.lam

@@ -175,8 +175,6 @@ class _PairSelector:
             return None
         n_miles = len(self._miles)
         flat = np.flatnonzero(view == best)
-        if flat.size == 1:
-            return divmod(int(flat[0]), n_miles)
         # break ties by milestone closeness to goal, then insertion order;
         # flat indices are row-major so argmin's first-hit rule matches the
         # (node index, milestone index) ordering

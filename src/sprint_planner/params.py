@@ -36,7 +36,6 @@ class SprintParams:
     eps_prog: float | None = None
     max_local_samples: int = 2000
     max_total_samples: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -68,9 +67,9 @@ def params_from_json(obj) -> SprintParams:
     """SprintParams from a parsed JSON object of field overrides.
 
     Raises ValueError for a non-object, an unknown field, or a value of the
-    wrong type (int fields take integers, float fields any finite number
-    that fits a float, eta and eps_prog also null), so bad config files give
-    a one-line error.
+    wrong type (int fields take integers up to sys.maxsize in magnitude,
+    float fields any finite number that fits a float, eta and eps_prog also
+    null), so bad config files give a one-line error.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
@@ -84,7 +83,7 @@ def params_from_json(obj) -> SprintParams:
         elif isinstance(value, bool):
             ok = False
         elif isinstance(value, int):
-            ok = kind == "int" or abs(value) <= sys.float_info.max
+            ok = abs(value) <= (sys.maxsize if kind == "int" else sys.float_info.max)
         else:
             ok = kind != "int" and isinstance(value, float) and math.isfinite(value)
         if not ok:
@@ -102,7 +101,6 @@ class BaselineParams:
     step: float = 0.05
     goal_bias: float = 0.05
     max_samples: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.step > 0:

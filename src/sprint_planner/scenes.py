@@ -43,7 +43,7 @@ def fixture_lam(name: str) -> float:
 def fixture_scene(name: str) -> Scene:
     if name not in _ENDPOINTS:
         raise KeyError(f"unknown scene fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("sprint_planner").joinpath(f"data/{name}.json").read_text("utf-8")
+    text = resources.files(__package__).joinpath(f"data/{name}.json").read_text("utf-8")
     return scene_from_dict(json.loads(text))
 
 

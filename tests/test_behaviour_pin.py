@@ -2,7 +2,8 @@
 fixtures, the uniform region choice (`sprint:no-pr1`, the scorer's
 select_random path) on a 2-D and a 10-D fixture, the heuristic-override
 ablations (`sprint:no-pr2`, `sprint:no-pr3`, `sprint:random-params`) on
-`single_box_2d`, and both baselines on the same two fixtures.
+`single_box_2d`, and both baselines on the same two fixtures and on the
+short-trial fixtures `single_box_2d` and `vertical_bars_2d`.
 
 A change that is meant to keep behaviour must keep these (status,
 total_samples) pairs, the path bytes of SPRINT on the high-dimensional
@@ -80,6 +81,23 @@ PINNED_BASELINES = {
         ("Solved", 24910, "020f3051765ec5d0"), ("Solved", 4397, "7067371f685a676e"),
         ("Solved", 2720, "1f350ebba307e57e"), ("Solved", 23162, "bd18b774a02d60ce"),
         ("Solved", 32499, "f3a79a8cba70d0d2")],
+    # short trials, where trees stay small for most of the run
+    ("rrt", "single_box_2d"): [
+        ("Solved", 211, "c5655c6bdda56a6e"), ("Solved", 269, "392624f9a8a26328"),
+        ("Solved", 243, "b53e16a63a1121b9"), ("Solved", 308, "f38d5e80991bb23f"),
+        ("Solved", 248, "c2f6d33da0d0c717")],
+    ("rrt", "vertical_bars_2d"): [
+        ("Solved", 1290, "66cd4a3af723d406"), ("Solved", 1289, "1d992a1a45ffdc14"),
+        ("Solved", 2873, "5593c706f8fbe8ad"), ("Solved", 3487, "13b21cf6ad21eae7"),
+        ("Solved", 770, "398a143ebae5e193")],
+    ("rrt-connect", "single_box_2d"): [
+        ("Solved", 139, "e542fa805f00585f"), ("Solved", 180, "240726994ee50e5b"),
+        ("Solved", 149, "ed1e55e2406e0e7c"), ("Solved", 179, "ff2b2915d1c63025"),
+        ("Solved", 191, "ad7f228ff222b0a7")],
+    ("rrt-connect", "vertical_bars_2d"): [
+        ("Solved", 457, "730a0cf3bdeb0232"), ("Solved", 432, "a535afff12746838"),
+        ("Solved", 592, "255037412e45acb4"), ("Solved", 2235, "b8d4a270d2588cf9"),
+        ("Solved", 384, "5496bd57b846b04c")],
 }
 
 

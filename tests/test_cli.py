@@ -152,6 +152,8 @@ class TestPlanCommand:
         ({"lam": float("inf")}, "lam"),
         ([0.1], "JSON object"),
         ({"lam": 10 ** 400}, "lam"),
+        ({"k_obs": 2 ** 63}, "k_obs"),
+        ({"seed": 3}, "'seed'"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -166,6 +168,13 @@ class TestPlanCommand:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"lam": 0.1, "eta": None}), encoding="utf-8")
         assert main(["plan", "--scene", "empty_2d", "--params", str(path)]) == 0
+
+    def test_huge_collision_memory_in_params_file_solves(self, tmp_path, capsys):
+        # k_obs only bounds how many collision points a checkpoint keeps
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"k_obs": 10 ** 12}), encoding="utf-8")
+        assert main(["plan", "--scene", "empty_2d", "--params", str(path)]) == 0
+        assert "status=Solved" in capsys.readouterr().out
 
 
 class TestBenchCommand:

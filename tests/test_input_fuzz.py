@@ -1,20 +1,23 @@
 """Fuzzing of the outside input the library reads: scene JSON objects, grid
-config files and CLI points.  Each loader either returns or raises
-ValueError (the CLI turns that into a one-line error); any other exception
-would reach the user as a traceback.  derandomize=True makes the examples a
-fixed function of the test, so a run is repeatable."""
+config files, params files and CLI points.  Each loader either returns or
+raises ValueError (the CLI turns that into a one-line error); any other
+exception would reach the user as a traceback.  derandomize=True makes the
+examples a fixed function of the test, so a run is repeatable."""
 
 import json
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sprint_planner.bench import load_grid_config
 from sprint_planner.cli import _parse_point
-from sprint_planner.params import SprintParams
+from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
+from sprint_planner.params import SprintParams, params_from_json
 from sprint_planner.world import scene_from_dict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
@@ -42,7 +45,11 @@ scenes = st.fixed_dictionaries({}, optional={
     "obstacles": st.lists(obstacles | values, max_size=3) | values,
 }) | values
 
-param_names = st.sampled_from([f.name for f in fields(SprintParams)]) | st.text(max_size=6)
+field_names = st.sampled_from([f.name for f in fields(SprintParams)])
+param_names = field_names | st.text(max_size=6)
+# the values a parsed JSON params file can hold for a field
+param_objects = st.dictionaries(field_names, st.none() | st.booleans() | ints | st.floats(),
+                                max_size=6)
 names = st.lists(st.text(max_size=8), min_size=1, max_size=3)
 # "scenes" and "planners" are checked first, so they are mostly well formed
 grids = st.fixed_dictionaries({
@@ -102,3 +109,18 @@ def test_load_grid_config_from_raw_bytes(raw):
                   max_size=4).map(",".join))
 def test_parse_point(text):
     _returns_or_raises_value_error(_parse_point, "--start", text)
+
+
+@FUZZ
+@given(param_objects)
+@example({"k_obs": 2 ** 63})
+@example({"k_obs": sys.maxsize, "r_retry": sys.maxsize})
+def test_params_from_json(obj):
+    # accepted params must build a local tree whose collision memory works
+    try:
+        p = params_from_json(obj)
+    except ValueError:
+        return
+    tree = LocalTree(np.zeros(2), np.ones(2), p)
+    backprop_collision(tree, 0, np.full(2, 0.5))
+    assert collision_points(0, tree).shape == (1, 2)

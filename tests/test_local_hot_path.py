@@ -1,6 +1,7 @@
 """Equivalence checks for the local layer's hot path: the array repulsion
 against the per-point loop it replaced, the cached culling cutoffs against
-the gate formula, and the collision-point ring against a bounded deque."""
+the gate formula, and each checkpoint's collision points against a model
+bounded deque."""
 
 import math
 from collections import deque
@@ -184,10 +185,10 @@ class TestObsRing:
                     backprop_collision(tree, nid, q)
                     for cp in tree.cp_chain[nid]:
                         model[cp].append(q.copy())
-                    q[:] = -1.0  # the ring keeps its own copy
+                    q[:] = -1.0  # the records keep their own copy
             assert set(model) == set(tree.records)
             for cp, pts in model.items():
-                got = tree.records[cp].obs_points
+                got = collision_points(cp, tree)
                 assert got.shape == (len(pts), 3)
                 assert len(pts) <= k_obs
                 np.testing.assert_array_equal(got, np.array(pts).reshape(-1, 3))

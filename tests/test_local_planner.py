@@ -163,7 +163,7 @@ class TestBackprop:
             rec = t.records[cp]
             assert rec.samples_since_exploit == 1
             assert rec.samples_since_explore == 1
-            np.testing.assert_array_equal(rec.obs_points[-1], q_obs)
+            np.testing.assert_array_equal(collision_points(cp, t)[-1], q_obs)
 
     def test_obs_buffer_is_bounded(self):
         p = params(k_obs=3)

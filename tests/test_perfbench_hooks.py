@@ -2,7 +2,7 @@
 (`perfbench/tracing.py`, HOOKS).  A function that is renamed, or bound where
 the patch cannot reach it (a default argument, a module-level alias), leaves
 its layer reading zero.  These checks load the tracer as it is and run one
-traced SPRINT trial."""
+traced trial of each planner."""
 
 import importlib.util
 from pathlib import Path
@@ -28,14 +28,31 @@ def test_every_hook_target_exists(tracing):
     assert tracing.Tracer().absent == []
 
 
-def test_traced_sprint_trial_reaches_the_local_hooks(tracing):
+def _traced_trial(tracing, planner):
+    """One traced trial on single_box_2d: its record, per-layer call counts
+    and counters."""
     name = "single_box_2d"
     start, goal = fixture_endpoints(name)
     tracer = tracing.Tracer()
     with tracer.trial({}):
-        rec, _, _ = run_trial("sprint", fixture_scene(name), start, goal, 0,
+        rec, _, _ = run_trial(planner, fixture_scene(name), start, goal, 0,
                               SprintParams(lam=fixture_lam(name)), 50_000)
-    calls = {layer: acc[0] for layer, acc in tracer.trials[0]["layers"].items()}
+    trial = tracer.trials[0]
+    return rec, {layer: acc[0] for layer, acc in trial["layers"].items()}, trial["counters"]
+
+
+def test_traced_sprint_trial_reaches_the_local_hooks(tracing):
+    rec, calls, _ = _traced_trial(tracing, "sprint")
     assert calls.get("local_planner.valid_node", 0) >= 1
     assert calls.get("local_planner.local_edge", 0) >= 1
+    assert calls.get("world.is_free", 0) == rec.total_samples
+
+
+@pytest.mark.parametrize("planner", ["rrt", "rrt-connect"])
+def test_traced_baseline_trial_reaches_the_kd_tree_hooks(tracing, planner):
+    rec, calls, counters = _traced_trial(tracing, planner)
+    assert calls.get("baselines.nearest", 0) >= 1
+    assert calls.get("baselines.insert", 0) >= 1
+    # the nearest hook's counter takes len() of the KdTree it is called on
+    assert counters["baselines.nearest.tree_size"] >= calls["baselines.nearest"]
     assert calls.get("world.is_free", 0) == rec.total_samples
