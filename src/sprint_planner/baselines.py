@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from .geometry import Config, dist
 from .global_planner import PlanResult, Tree, check_endpoints
 from .params import BaselineParams
-from .world import CollisionOracle
+from .world import BudgetExhausted, CollisionOracle
 
 # Random targets drawn ahead per tree at once.  scipy's per-call overhead
 # dominates a single kd-tree query, so answering a block in one stacked query
@@ -129,9 +129,9 @@ def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
 class _Tree(Tree):
     """A Tree that also indexes its points for nearest-neighbor queries."""
 
-    def __init__(self, root: Config, dim: int):
+    def __init__(self, root: Config):
         super().__init__(root)
-        self.kd = KdTree(dim)
+        self.kd = KdTree(root.shape[0])
         self.kd.insert(root)
 
     def add(self, q: Config, parent: int) -> int:
@@ -173,101 +173,99 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
              params: BaselineParams, rng: np.random.Generator) -> PlanResult:
     """Goal-biased RRT with fixed-step extension and per-step point checks."""
     t0 = time.perf_counter()
-    start_count = oracle.sample_count
-    check_endpoints(oracle, q_init, q_goal)
     lo, hi = oracle.scene.lower, oracle.scene.upper
 
-    tree = _Tree(q_init, oracle.scene.dim)
+    tree = _Tree(q_init)
     kd = tree.kd
 
     path_pts = None
     carry = np.empty(0)
-    while oracle.sample_count - start_count < params.max_samples:
-        if not kd.queued:
-            targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi,
-                                          q_goal, params.goal_bias, carry)
-            kd.queue(targets)
-        q_rand = kd.next_target()
-        ni = kd.nearest(q_rand)
-        q_new = _steer(tree.points[ni], q_rand, params.step)
-        if q_new is None:
-            continue
-        if not oracle.is_free(q_new):
-            continue
-        i = tree.add(q_new, ni)
-        if dist(q_new, q_goal) <= params.step:
-            path_pts = tree.path_to(i)
-            if not np.array_equal(path_pts[-1], q_goal):
-                path_pts.append(q_goal)
-            break
-    return PlanResult.finish(path_pts, oracle.sample_count - start_count, t0, (tree,))
+    try:
+        check_endpoints(oracle, q_init, q_goal)
+        while path_pts is None:
+            if not kd.queued:
+                targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi,
+                                              q_goal, params.goal_bias, carry)
+                kd.queue(targets)
+            q_rand = kd.next_target()
+            ni = kd.nearest(q_rand)
+            q_new = _steer(tree.points[ni], q_rand, params.step)
+            if q_new is None:
+                continue
+            if not oracle.query(q_new):
+                continue
+            i = tree.add(q_new, ni)
+            if dist(q_new, q_goal) <= params.step:
+                path_pts = tree.path_to(i)
+                if not np.array_equal(path_pts[-1], q_goal):
+                    path_pts.append(q_goal)
+    except BudgetExhausted:
+        pass
+    return PlanResult.finish(path_pts, oracle.sample_count, t0, (tree,))
 
 
 def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                      params: BaselineParams, rng: np.random.Generator) -> PlanResult:
     """Bidirectional RRT with the greedy connect heuristic."""
     t0 = time.perf_counter()
-    start_count = oracle.sample_count
-    check_endpoints(oracle, q_init, q_goal)
     lo, hi = oracle.scene.lower, oracle.scene.upper
     dim = oracle.scene.dim
 
-    trees = (_Tree(q_init, dim), _Tree(q_goal, dim))
+    trees = (_Tree(q_init), _Tree(q_goal))
     ta, tb = trees
     a_is_start = True
-
-    def budget_left() -> bool:
-        return oracle.sample_count - start_count < params.max_samples
 
     def extend(tree: _Tree, target: Config) -> int | None:
         ni = tree.kd.nearest(target)
         q_new = _steer(tree.points[ni], target, params.step)
         if q_new is None:
             return ni if np.array_equal(tree.points[ni], target) else None
-        if not oracle.is_free(q_new):
+        if not oracle.query(q_new):
             return None
         return tree.add(q_new, ni)
 
     path_pts = None
-    while budget_left():
-        if not ta.kd.queued:
-            # row i holds the values iteration i drew on its own before, from
-            # one call instead of one call per row with array bounds.  Both
-            # queues get TARGET_BLOCK rows and the trees swap every iteration,
-            # so the queues run dry together, with `ta` the start tree: even
-            # rows are its targets and odd rows the goal tree's
-            block = rng.uniform(lo, hi, size=(2 * TARGET_BLOCK, dim))
-            ta.kd.queue(block[0::2])
-            tb.kd.queue(block[1::2])
-        q_rand = ta.kd.next_target()
-        ia = extend(ta, q_rand)
-        if ia is not None:
-            q_new = ta.points[ia]
-            # greedily connect the other tree toward the new node
-            ib = None
-            cur = tb.kd.nearest(q_new)
-            while budget_left():
-                q_step = _steer(tb.points[cur], q_new, params.step)
-                if q_step is None:
-                    ib = cur
-                    break
-                if not oracle.is_free(q_step):
-                    break
-                cur = tb.add(q_step, cur)
-                if np.array_equal(q_step, q_new):
-                    ib = cur
-                    break
-            if ib is not None:
-                pa = ta.path_to(ia)
-                pb = tb.path_to(ib)
-                pb.reverse()
-                if np.array_equal(pa[-1], pb[0]):
-                    pb = pb[1:]
-                pts = pa + pb
-                if not a_is_start:
-                    pts.reverse()
-                path_pts = pts
-                break
-        ta, tb = tb, ta
-        a_is_start = not a_is_start
-    return PlanResult.finish(path_pts, oracle.sample_count - start_count, t0, trees)
+    try:
+        check_endpoints(oracle, q_init, q_goal)
+        while path_pts is None:
+            if not ta.kd.queued:
+                # row i holds the values iteration i drew on its own before, from
+                # one call instead of one call per row with array bounds.  Both
+                # queues get TARGET_BLOCK rows and the trees swap every iteration,
+                # so the queues run dry together, with `ta` the start tree: even
+                # rows are its targets and odd rows the goal tree's
+                block = rng.uniform(lo, hi, size=(2 * TARGET_BLOCK, dim))
+                ta.kd.queue(block[0::2])
+                tb.kd.queue(block[1::2])
+            q_rand = ta.kd.next_target()
+            ia = extend(ta, q_rand)
+            if ia is not None:
+                q_new = ta.points[ia]
+                # greedily connect the other tree toward the new node
+                ib = None
+                cur = tb.kd.nearest(q_new)
+                while True:
+                    q_step = _steer(tb.points[cur], q_new, params.step)
+                    if q_step is None:
+                        ib = cur
+                        break
+                    if not oracle.query(q_step):
+                        break
+                    cur = tb.add(q_step, cur)
+                    if np.array_equal(q_step, q_new):
+                        ib = cur
+                        break
+                if ib is not None:
+                    pa = ta.path_to(ia)
+                    pb = tb.path_to(ib)
+                    pb.reverse()
+                    if np.array_equal(pa[-1], pb[0]):
+                        pb = pb[1:]
+                    path_pts = pa + pb
+                    if not a_is_start:
+                        path_pts.reverse()
+            ta, tb = tb, ta
+            a_is_start = not a_is_start
+    except BudgetExhausted:
+        pass
+    return PlanResult.finish(path_pts, oracle.sample_count, t0, trees)

@@ -170,28 +170,25 @@ def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int
               params: SprintParams, max_samples: int,
               scene_label: str | None = None,
               record_samples: bool = True) -> tuple[TrialRecord, PlanResult, CollisionOracle]:
-    """Execute a single planning trial.
+    """Execute a single planning trial under a hard cap of max_samples samples.
 
     With record_samples enabled (the default) the oracle keeps the full query
     log and solved trials get a delta-useful ratio; without it the ratio
     column is left empty, which suits grids that only need sample counts.
     """
     base, mode = _parse_planner(planner)
-    oracle = CollisionOracle(scene, record_samples=record_samples)
+    oracle = CollisionOracle(scene, record_samples=record_samples, budget=max_samples)
     rng = np.random.default_rng(seed)
     if base == "sprint":
-        p = replace(params, max_total_samples=max_samples)
-        p2, variant = apply_ablation(p, mode, rng)
-        result = global_planner.plan(start, goal, oracle, p2, rng, variant=variant)
-        delta = 2.0 * p2.lam
+        params, variant = apply_ablation(params, mode, rng)
+        result = global_planner.plan(start, goal, oracle, params, rng, variant=variant)
     else:
-        bp = BaselineParams(step=params.lam, max_samples=max_samples)
+        bp = BaselineParams(step=params.lam)
         fn = baselines.rrt_plan if base == "rrt" else baselines.rrt_connect_plan
         result = fn(start, goal, oracle, bp, rng)
-        delta = 2.0 * params.lam
     ratio = None
     if record_samples and result.status is PlanStatus.SOLVED:
-        ratio = delta_useful_ratio(oracle.samples, result.path, delta)
+        ratio = delta_useful_ratio(oracle.samples, result.path, 2.0 * params.lam)
     record = TrialRecord(
         planner=planner, scene=scene_label or scene.name, seed=seed,
         status=result.status.value, total_samples=result.total_samples,

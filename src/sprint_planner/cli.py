@@ -87,7 +87,8 @@ def main(argv=None) -> int:
                    default="default")
     p.add_argument("--start", help="comma-separated start configuration")
     p.add_argument("--goal", help="comma-separated goal configuration")
-    p.add_argument("--max-samples", type=int, default=200_000)
+    p.add_argument("--max-samples", type=int, default=200_000,
+                   help="hard cap on collision-check samples, endpoint checks included")
     p.add_argument("--params", help="JSON file overriding planner parameter fields")
     p.add_argument("--svg", help="write an SVG render (2-D scenes only)")
     p.set_defaults(func=cmd_plan)

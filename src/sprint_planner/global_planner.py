@@ -12,7 +12,7 @@ import numpy as np
 from .geometry import Config, Region, Tree, dist, polyline_length
 from .local_planner import LocalStatus, local_search
 from .params import SprintParams
-from .world import CollisionOracle
+from .world import BudgetExhausted, CollisionOracle
 
 __all__ = [
     "SprintParams", "PlanStatus", "PlanResult", "Tree", "SprintVariant",
@@ -37,8 +37,8 @@ class PlanResult:
     @classmethod
     def finish(cls, path_pts: list[Config] | None, total: int, t0: float,
                trees: tuple[Tree, ...]) -> PlanResult:
-        """The result of a run that started at perf_counter() time t0 and
-        found the path path_pts, or none."""
+        """The result of a run that started at perf_counter() time t0, took
+        the total samples its oracle counted and found path_pts, or none."""
         wall = time.perf_counter() - t0
         if path_pts is None:
             return cls(PlanStatus.BUDGET_EXHAUSTED, None, total, wall, float("nan"), trees)
@@ -47,14 +47,14 @@ class PlanResult:
 
 
 def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> None:
-    """Raise ValueError unless both endpoints are free and distinct; the two
-    free-space checks are metered samples."""
-    if not oracle.is_free(q_init):
-        raise ValueError("q_init is in collision")
-    if not oracle.is_free(q_goal):
-        raise ValueError("q_goal is in collision")
+    """Raise ValueError unless both endpoints are distinct and free; only
+    the two free-space checks take samples."""
     if np.array_equal(q_init, q_goal):
         raise ValueError("q_init equals q_goal")
+    if not oracle.query(q_init):
+        raise ValueError("q_init is in collision")
+    if not oracle.query(q_goal):
+        raise ValueError("q_goal is in collision")
 
 
 @dataclass(frozen=True)
@@ -192,60 +192,56 @@ def add_milestones(oracle: CollisionOracle, params: SprintParams,
 def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
          params: SprintParams, rng: np.random.Generator,
          variant: SprintVariant | None = None) -> PlanResult:
-    """Full SPRINT run from q_init to q_goal under a total sample budget.
+    """Full SPRINT run from q_init to q_goal, until the oracle refuses a query.
 
     The tree holds every vertex of every local path that reached its
     milestone, each hanging off the vertex before it; global node n (the
     selector's row n) is tree node at[n]."""
     t0 = time.perf_counter()
-    start_count = oracle.sample_count
-    check_endpoints(oracle, q_init, q_goal)
-
     if variant is None:
         variant = SprintVariant()
 
     tree = Tree(q_init)
-    at = [0]
-    milestones = [q_goal]
-    selector = _PairSelector(q_init, q_goal, params)
-    selector.add_milestones(milestones)
-
-    def grow_milestones() -> None:
-        batch = add_milestones(oracle, params, rng)
-        milestones.extend(batch)
-        selector.add_milestones(batch)
-
-    grow_milestones()
-
-    def used() -> int:
-        return oracle.sample_count - start_count
-
     path_pts = None
-    while used() < params.max_total_samples:
-        if variant.random_region_select:
-            pick = selector.select_random(rng)
-        else:
-            pick = selector.select_best()
-        if pick is None:
-            grow_milestones()
-            continue
-        ni, mi = pick
-        selector.mark_attempted(ni, mi)
-        q_n, q_m = tree.points[at[ni]], milestones[mi]
-        remaining = params.max_total_samples - used()
-        res = local_search(q_n, q_m, oracle, params, rng, budget=remaining,
-                           gate_fn=variant.gate_fn, edge_fn=variant.edge_fn)
-        if res.status is LocalStatus.REACHED:
-            node = at[ni]
-            for q in res.path[1:]:
-                node = tree.add(q, node)
-            at.append(node)
-            selector.add_node(q_m)
-            selector.mark_reached(mi)
-            if mi == 0:
-                path_pts = tree.path_to(node)
-                break
-        else:
-            selector.add_region(Region(q_n, q_m))
+    try:
+        check_endpoints(oracle, q_init, q_goal)
+        at = [0]
+        milestones = [q_goal]
+        selector = _PairSelector(q_init, q_goal, params)
+        selector.add_milestones(milestones)
 
-    return PlanResult.finish(path_pts, used(), t0, (tree,))
+        def grow_milestones() -> None:
+            batch = add_milestones(oracle, params, rng)
+            milestones.extend(batch)
+            selector.add_milestones(batch)
+
+        grow_milestones()
+
+        while path_pts is None:
+            if variant.random_region_select:
+                pick = selector.select_random(rng)
+            else:
+                pick = selector.select_best()
+            if pick is None:
+                grow_milestones()
+                continue
+            ni, mi = pick
+            selector.mark_attempted(ni, mi)
+            q_n, q_m = tree.points[at[ni]], milestones[mi]
+            res = local_search(q_n, q_m, oracle, params, rng,
+                               gate_fn=variant.gate_fn, edge_fn=variant.edge_fn)
+            if res.status is LocalStatus.REACHED:
+                node = at[ni]
+                for q in res.path[1:]:
+                    node = tree.add(q, node)
+                at.append(node)
+                selector.add_node(q_m)
+                selector.mark_reached(mi)
+                if mi == 0:
+                    path_pts = tree.path_to(node)
+            else:
+                selector.add_region(Region(q_n, q_m))
+    except BudgetExhausted:
+        pass
+
+    return PlanResult.finish(path_pts, oracle.sample_count, t0, (tree,))

@@ -317,7 +317,6 @@ def local_edge(node_id: int, tree: LocalTree, obs,
 
 def local_search(root: Config, goal: Config, oracle: CollisionOracle,
                  params: SprintParams, rng: np.random.Generator,
-                 budget: int | None = None,
                  gate_fn=None, edge_fn=None) -> LocalResult:
     """Run one local search over the region [root, goal].
 
@@ -326,37 +325,34 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
     back-propagates progress or collision information.  Terminates Reached
     when a free node lands within lam of the goal and a metered endpoint
     check of the goal passes (the short terminal edge carries no interior
-    checks), or Exhausted when the stack empties or the budget runs out.
+    checks), or Exhausted when the stack empties or max_local_samples run
+    out.  The oracle's BudgetExhausted passes through.
 
     gate_fn/edge_fn override valid_node and local_edge, with their
     signatures; used by the ablation harness.
     """
     if np.array_equal(root, goal):
         raise ValueError("local search requires root != goal")
-    if budget is None:
-        budget = params.max_local_samples
-    else:
-        budget = min(budget, params.max_local_samples)
     start_count = oracle.sample_count
     tree = LocalTree(root, goal, params)
     gate = gate_fn or valid_node
     edge = edge_fn or local_edge
 
     goal_reach = params.lam * (1.0 + 1e-9)  # tolerance for exact-multiple spans
-    if dist(root, goal) <= goal_reach and oracle.is_free(goal):
+    if dist(root, goal) <= goal_reach and oracle.query(goal):
         return LocalResult(LocalStatus.REACHED, np.vstack([root, goal]), 1)
 
     stack: list[tuple[int, int]] = [(0, params.r_retry)]
     reached: int | None = None
     while stack:
-        if oracle.sample_count - start_count >= budget:
+        if oracle.sample_count - start_count >= params.max_local_samples:
             break
         node_id, retries = stack.pop()
         if not gate(node_id, tree):
             continue
         obs = collision_points(node_id, tree)
         q_c = edge(node_id, tree, obs, rng)
-        if oracle.is_free(q_c):
+        if oracle.query(q_c):
             child = tree.add(q_c, node_id)
             backprop_progress(tree, child)
             if len(tree.children[node_id]) >= 2:
@@ -364,7 +360,7 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
             if retries - 1 > 0:
                 # parent stays reachable below the new branch for backtracking
                 stack.append((node_id, retries - 1))
-            if tree.d_goal[child] <= goal_reach and oracle.is_free(goal):
+            if tree.d_goal[child] <= goal_reach and oracle.query(goal):
                 reached = child
                 break
             stack.append((child, params.r_retry))

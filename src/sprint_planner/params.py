@@ -35,7 +35,6 @@ class SprintParams:
     k_obs: int = 10
     eps_prog: float | None = None
     max_local_samples: int = 2000
-    max_total_samples: int = 200_000
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -45,7 +44,7 @@ class SprintParams:
             raise ValueError("kappa must lie in (0, 1)")
         if self.ascent_iters not in (1, 2):
             raise ValueError("ascent_iters must be 1 or 2")
-        for name in ("milestone_batch", "r_retry", "k_obs", "max_local_samples", "max_total_samples",
+        for name in ("milestone_batch", "r_retry", "k_obs", "max_local_samples",
                      "w1_g", "w2_g", "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -100,12 +99,9 @@ class BaselineParams:
 
     step: float = 0.05
     goal_bias: float = 0.05
-    max_samples: int = 200_000
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("step must be positive")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must lie in [0, 1]")
-        if not self.max_samples > 0:
-            raise ValueError("max_samples must be positive")

@@ -2,7 +2,7 @@
 
 The oracle is the single accounting point for collision-check samples: every
 feasibility query, including rejection-sampling attempts, bumps its counter
-by exactly one.
+by exactly one, and the oracle alone enforces the sample budget.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .geometry import Config, as_config
 
 class FreeSpaceNotFound(RuntimeError):
     """Rejection sampling exhausted its attempt budget without a free point."""
+
+
+class BudgetExhausted(RuntimeError):
+    """A budgeted query came after the oracle's sample budget was spent."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,15 @@ class CollisionOracle:
 
     Counts every is_free call.  With record_samples=True it also keeps the
     full (config, free) query log, which the benchmark harness needs for the
-    delta-usefulness metric.
+    delta-usefulness metric.  Planners draw through `query`, which refuses
+    every query past `budget` samples; is_free is the raw, unbudgeted check.
     """
 
-    def __init__(self, scene: Scene, record_samples: bool = False):
+    def __init__(self, scene: Scene, record_samples: bool = False, budget: int = 200_000):
+        if not budget > 0:
+            raise ValueError(f"sample budget must be positive, got {budget!r}")
         self.scene = scene
+        self.budget = budget
         self.sample_count = 0
         self.record_samples = record_samples
         self.samples: list[tuple[Config, bool]] = []
@@ -113,6 +121,12 @@ class CollisionOracle:
             self.samples.append((q.copy(), free))
         return free
 
+    def query(self, q: Config) -> bool:
+        """is_free(q) if the budget allows, else BudgetExhausted, uncounted and unlogged."""
+        if self.sample_count >= self.budget:
+            raise BudgetExhausted(f"sample budget of {self.budget} spent")
+        return self.is_free(q)
+
     def _free(self, ql: list[float]) -> bool:
         """World boundary free, obstacle boundary in collision, NaN never free."""
         for i, l, h in self._bounds:
@@ -130,12 +144,12 @@ class CollisionOracle:
         return True
 
     def sample_free(self, rng: np.random.Generator, max_attempts: int = 100_000) -> Config:
-        """Uniform draw from free space by rejection; every attempt is metered.
+        """Uniform draw from free space by rejection; each attempt is a query.
         `lo + span * random(d)` is `uniform(lo, hi)` bit for bit, but cheaper."""
         lo, span = self.scene.lower, self.scene.upper - self.scene.lower
         for _ in range(max_attempts):
             q = lo + span * rng.random(lo.shape)
-            if self.is_free(q):
+            if self.query(q):
                 return q
         raise FreeSpaceNotFound(f"no free sample found in {max_attempts} attempts")
 

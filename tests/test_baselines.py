@@ -7,14 +7,15 @@ from sprint_planner.params import BaselineParams
 from sprint_planner.world import Box, CollisionOracle, Scene
 
 
-def empty_oracle(dim=2):
-    return CollisionOracle(Scene(name="empty", lower=np.zeros(dim), upper=np.ones(dim)))
+def empty_oracle(dim=2, budget=200_000):
+    return CollisionOracle(Scene(name="empty", lower=np.zeros(dim), upper=np.ones(dim)),
+                           budget=budget)
 
 
-def wall_oracle():
+def wall_oracle(budget=200_000):
     scene = Scene(name="wall", lower=np.zeros(2), upper=np.ones(2),
                   obstacles=(Box(np.array([0.45, 0.0]), np.array([0.55, 0.7])),))
-    return CollisionOracle(scene)
+    return CollisionOracle(scene, budget=budget)
 
 
 class TestKdTree:
@@ -170,14 +171,14 @@ class TestKdTreeQueue:
 
     @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
     def test_rrt_consumes_the_per_iteration_draw_sequence(self, monkeypatch, goal_bias):
-        p = BaselineParams(step=0.01, max_samples=1500, goal_bias=goal_bias)
-        self.check_rrt_draws(monkeypatch, wall_oracle(), np.array([0.1, 0.5]),
+        p = BaselineParams(step=0.01, goal_bias=goal_bias)
+        self.check_rrt_draws(monkeypatch, wall_oracle(budget=1500), np.array([0.1, 0.5]),
                              np.array([0.9, 0.5]), p)
 
     @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
     def test_rrt_draw_sequence_in_10d(self, monkeypatch, goal_bias):
-        p = BaselineParams(step=0.005, max_samples=1500, goal_bias=goal_bias)
-        self.check_rrt_draws(monkeypatch, empty_oracle(10), np.full(10, 0.1),
+        p = BaselineParams(step=0.005, goal_bias=goal_bias)
+        self.check_rrt_draws(monkeypatch, empty_oracle(10, budget=1500), np.full(10, 0.1),
                              np.full(10, 0.9), p)
 
     @pytest.mark.parametrize("d", [2, 10])
@@ -205,8 +206,8 @@ class TestKdTreeQueue:
             return seen[-1]
 
         monkeypatch.setattr(KdTree, "next_target", recording)
-        oracle = wall_oracle()
-        p = BaselineParams(step=0.01, max_samples=3000)
+        oracle = wall_oracle(budget=3000)
+        p = BaselineParams(step=0.01)
         rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
                          np.random.default_rng(7))
         rng = np.random.default_rng(7)
@@ -232,37 +233,37 @@ def test_equal_endpoints_rejected(planner):
 
 class TestRrt:
     def test_solves_empty_scene(self):
-        p = BaselineParams(step=0.05, max_samples=10_000)
-        res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), empty_oracle(),
+        p = BaselineParams(step=0.05)
+        res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), empty_oracle(budget=10_000),
                        p, np.random.default_rng(0))
         assert res.status is PlanStatus.SOLVED
         path_checks(res, [0.1, 0.1], [0.9, 0.9], p.step)
 
     def test_solves_wall_scene(self):
-        p = BaselineParams(step=0.05, max_samples=50_000)
-        res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(),
+        p = BaselineParams(step=0.05)
+        res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=50_000),
                        p, np.random.default_rng(1))
         assert res.status is PlanStatus.SOLVED
         path_checks(res, [0.1, 0.5], [0.9, 0.5], p.step)
 
     def test_budget_exhaustion(self):
-        p = BaselineParams(step=0.01, max_samples=30)
-        res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(),
+        p = BaselineParams(step=0.01)
+        res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=30),
                        p, np.random.default_rng(0))
         assert res.status is PlanStatus.BUDGET_EXHAUSTED
         assert res.path is None
-        assert res.total_samples <= 30 + 1
+        assert res.total_samples == 30
 
     def test_sample_accounting(self):
-        oracle = empty_oracle()
+        oracle = empty_oracle(budget=10_000)
         res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle,
-                       BaselineParams(step=0.05, max_samples=10_000),
+                       BaselineParams(step=0.05),
                        np.random.default_rng(0))
         assert res.total_samples == oracle.sample_count
 
     def test_deterministic_per_seed(self):
-        p = BaselineParams(step=0.05, max_samples=50_000)
-        runs = [rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(),
+        p = BaselineParams(step=0.05)
+        runs = [rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=50_000),
                          p, np.random.default_rng(5)) for _ in range(2)]
         assert runs[0].total_samples == runs[1].total_samples
         np.testing.assert_array_equal(runs[0].path, runs[1].path)
@@ -276,9 +277,9 @@ class TestRrt:
 
 class TestRrtConnect:
     def test_solves_empty_scene_quickly(self):
-        p = BaselineParams(step=0.05, max_samples=10_000)
+        p = BaselineParams(step=0.05)
         start, goal = np.array([0.1, 0.1]), np.array([0.9, 0.9])
-        res = rrt_connect_plan(start, goal, empty_oracle(), p,
+        res = rrt_connect_plan(start, goal, empty_oracle(budget=10_000), p,
                                np.random.default_rng(0))
         assert res.status is PlanStatus.SOLVED
         path_checks(res, start, goal, p.step)
@@ -286,15 +287,15 @@ class TestRrtConnect:
         assert res.total_samples <= int(np.ceil(np.linalg.norm(goal - start) / p.step)) + 3
 
     def test_solves_wall_scene(self):
-        p = BaselineParams(step=0.05, max_samples=50_000)
+        p = BaselineParams(step=0.05)
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                               wall_oracle(), p, np.random.default_rng(2))
+                               wall_oracle(budget=50_000), p, np.random.default_rng(2))
         assert res.status is PlanStatus.SOLVED
         path_checks(res, [0.1, 0.5], [0.9, 0.5], p.step)
 
     def test_path_avoids_obstacle(self):
-        p = BaselineParams(step=0.02, max_samples=50_000)
-        oracle = wall_oracle()
+        p = BaselineParams(step=0.02)
+        oracle = wall_oracle(budget=50_000)
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
                                oracle, p, np.random.default_rng(3))
         checker = CollisionOracle(oracle.scene)
@@ -302,15 +303,16 @@ class TestRrtConnect:
             assert checker.is_free(q)
 
     def test_budget_exhaustion(self):
-        p = BaselineParams(step=0.01, max_samples=25)
+        p = BaselineParams(step=0.01)
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                               wall_oracle(), p, np.random.default_rng(0))
+                               wall_oracle(budget=25), p, np.random.default_rng(0))
         assert res.status is PlanStatus.BUDGET_EXHAUSTED
+        assert res.total_samples == 25
 
     def test_deterministic_per_seed(self):
-        p = BaselineParams(step=0.05, max_samples=50_000)
+        p = BaselineParams(step=0.05)
         runs = [rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                                 wall_oracle(), p, np.random.default_rng(8))
+                                 wall_oracle(budget=50_000), p, np.random.default_rng(8))
                 for _ in range(2)]
         assert runs[0].total_samples == runs[1].total_samples
         np.testing.assert_array_equal(runs[0].path, runs[1].path)

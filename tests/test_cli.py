@@ -103,24 +103,67 @@ class TestPlanCommand:
         assert captured.err.startswith("error: ") and "must be positive" in captured.err
         assert "status=" not in captured.out
 
-    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
-    def test_equal_endpoints_are_a_one_line_error(self, capsys, planner):
+    @pytest.mark.parametrize("planner, budget", [
+        pytest.param("sprint", "200000", id="sprint"),
+        pytest.param("rrt", "200000", id="rrt"),
+        pytest.param("rrt-connect", "200000", id="rrt-connect"),
+        # the equality test takes no sample, so it comes before the budget
+        pytest.param("sprint", "1", id="sprint-budget-1"),
+        pytest.param("rrt", "1", id="rrt-budget-1"),
+        pytest.param("rrt-connect", "1", id="rrt-connect-budget-1"),
+    ])
+    def test_equal_endpoints_are_a_one_line_error(self, capsys, planner, budget):
         rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
-                   "--start", "0.1,0.1", "--goal", "0.1,0.1"])
+                   "--start", "0.1,0.1", "--goal", "0.1,0.1", "--max-samples", budget])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err == "error: q_init equals q_goal\n"
         assert "status=" not in captured.out
 
     def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
+        # the budget leaves room for all 100000 attempts of one milestone draw
+        scene = tmp_path / "tiny.json"
+        scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
+        rc = main(["plan", "--scene", str(scene), "--start", "0,0",
+                   "--goal", "0.0000005,0", "--max-samples", "200000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == NO_FREE_SPACE_ERROR
+        assert "status=" not in captured.out
+
+    def test_no_free_space_within_a_smaller_budget_exhausts_it(self, tmp_path, capsys):
         scene = tmp_path / "tiny.json"
         scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
         rc = main(["plan", "--scene", str(scene), "--start", "0,0",
                    "--goal", "0.0000005,0", "--max-samples", "1000"])
         captured = capsys.readouterr()
+        assert rc == 0
+        assert "status=BudgetExhausted samples=1000 " in captured.out
+
+    def test_huge_milestone_batch_stops_at_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"milestone_batch": 10 ** 12}), encoding="utf-8")
+        rc = main(["plan", "--scene", "empty_2d", "--max-samples", "1000",
+                   "--params", str(path)])
+        assert rc == 0
+        assert "status=BudgetExhausted samples=1000 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
+    @pytest.mark.parametrize("start, goal", [("0.1,0.1,0.1", "0.9,0.9"),
+                                             ("0.1,0.1", "0.9,0.9,0.9")])
+    def test_endpoint_of_the_wrong_dimension_is_a_one_line_error(self, capsys, planner,
+                                                                 start, goal):
+        rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
+                   "--start", start, "--goal", goal])
         assert rc == 2
-        assert captured.err == NO_FREE_SPACE_ERROR
-        assert "status=" not in captured.out
+        assert capsys.readouterr().err == "error: query dimension 3 != scene dimension 2\n"
+
+    @pytest.mark.parametrize("planner", ["sprint", "rrt", "rrt-connect"])
+    def test_budget_of_one_checks_only_the_start(self, capsys, planner):
+        rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
+                   "--max-samples", "1"])
+        assert rc == 0
+        assert "status=BudgetExhausted samples=1 " in capsys.readouterr().out
 
     def test_svg_of_a_non_2d_scene_fails_before_the_trial(self, tmp_path, capsys, monkeypatch):
         def no_trial(*args, **kwargs):
@@ -154,6 +197,8 @@ class TestPlanCommand:
         ({"lam": 10 ** 400}, "lam"),
         ({"k_obs": 2 ** 63}, "k_obs"),
         ({"seed": 3}, "'seed'"),
+        # the sample budget is --max-samples alone
+        ({"max_total_samples": 5}, "'max_total_samples'"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -229,17 +274,26 @@ class TestBenchCommand:
         assert needle in err
         assert not (out / "results.csv").exists()
 
-    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
+    @staticmethod
+    def no_free_space_grid(tmp_path, budget):
         scene = tmp_path / "tiny.json"
         scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({
             "scenes": [str(scene)], "planners": ["sprint"], "seeds": [0],
-            "max_samples": 1000, "endpoints": {str(scene): [[0, 0], [0.0000005, 0]]},
+            "max_samples": budget, "endpoints": {str(scene): [[0, 0], [0.0000005, 0]]},
         }), encoding="utf-8")
-        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert rc == 2
+        return main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
+        # the budget leaves room for all 100000 attempts of one milestone draw
+        assert self.no_free_space_grid(tmp_path, 200_000) == 2
         assert capsys.readouterr().err == NO_FREE_SPACE_ERROR
+
+    def test_no_free_space_within_a_smaller_budget_exhausts_it(self, tmp_path):
+        assert self.no_free_space_grid(tmp_path, 1000) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].split(",")[3:5] == ["BudgetExhausted", "1000"]
 
     def test_seed_list_and_endpoints(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"

@@ -256,14 +256,14 @@ class TestPlan:
     def test_budget_exhaustion_is_reported(self):
         scene = Scene(name="wall", lower=np.zeros(2), upper=np.ones(2),
                       obstacles=(Box(np.array([0.4, 0.0]), np.array([0.6, 1.0])),))
-        oracle = CollisionOracle(scene)
-        p = params(lam=0.05, max_total_samples=60)
+        oracle = CollisionOracle(scene, budget=60)
+        p = params(lam=0.05)
         res = plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
                    np.random.default_rng(0))
         assert res.status is PlanStatus.BUDGET_EXHAUSTED
         assert res.path is None
         assert math.isnan(res.path_length)
-        assert res.total_samples <= 60 + p.max_local_samples
+        assert res.total_samples == 60
 
     def test_identical_seeds_give_identical_paths(self):
         scene = Scene(name="wall", lower=np.zeros(2), upper=np.ones(2),

@@ -1,10 +1,13 @@
 """Fuzzing of the outside input the library reads: scene JSON objects, grid
-config files, params files and CLI points.  Each loader either returns or
+config files, params files, CLI points and CLI numbers.  Each loader either returns or
 raises ValueError (the CLI turns that into a one-line error); any other
 exception would reach the user as a traceback.  derandomize=True makes the
 examples a fixed function of the test, so a run is repeatable."""
 
+import contextlib
+import io
 import json
+import re
 import sys
 import tempfile
 from dataclasses import fields
@@ -14,8 +17,8 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sprint_planner.bench import load_grid_config
-from sprint_planner.cli import _parse_point
+from sprint_planner.bench import PLANNER_IDS, load_grid_config
+from sprint_planner.cli import _parse_point, main
 from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
 from sprint_planner.params import SprintParams, params_from_json
 from sprint_planner.world import scene_from_dict
@@ -124,3 +127,26 @@ def test_params_from_json(obj):
     tree = LocalTree(np.zeros(2), np.ones(2), p)
     backprop_collision(tree, 0, np.full(2, 0.5))
     assert collision_points(0, tree).shape == (1, 2)
+
+
+@settings(FUZZ, max_examples=50)
+@given(st.sampled_from(PLANNER_IDS), ints, ints)
+@example("sprint", 0, 1)
+@example("rrt", 0, 0)
+@example("rrt-connect", -1, 10)
+@example("sprint", 2 ** 64, 2 ** 64)
+def test_plan_command_numbers(planner, seed, budget):
+    # a run reports one status line within its budget, or the CLI prints a
+    # one-line error; any other exception escapes main as a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["plan", "--scene", "empty_2d", "--planner", planner,
+                   f"--seed={seed}", f"--max-samples={budget}"])
+    if rc == 0:
+        assert err.getvalue() == ""
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and " status=" in lines[0]
+        assert int(re.search(r" samples=(\d+) ", lines[0]).group(1)) <= budget
+    else:
+        assert rc == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

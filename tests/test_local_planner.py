@@ -11,7 +11,7 @@ from sprint_planner.local_planner import (LocalStatus, LocalTree,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
 from sprint_planner.params import SprintParams
-from sprint_planner.world import Box, CollisionOracle, Scene
+from sprint_planner.world import BudgetExhausted, Box, CollisionOracle, Scene
 
 from reference import checkpoint_path
 
@@ -20,9 +20,9 @@ def params(**kwargs):
     return SprintParams(**{"lam": 0.1, **kwargs})
 
 
-def empty_oracle(dim=2):
+def empty_oracle(dim=2, budget=200_000):
     scene = Scene(name="empty", lower=np.zeros(dim), upper=np.ones(dim))
-    return CollisionOracle(scene)
+    return CollisionOracle(scene, budget=budget)
 
 
 def simple_tree(p=None):
@@ -334,12 +334,21 @@ class TestLocalSearch:
         assert steps[-1] <= p.lam * (1.0 + 1e-9)
 
     def test_budget_exhaustion(self):
+        # the oracle's budget ends the search mid-step, after exactly 3 samples
         p = params()
+        oracle = CollisionOracle(empty_oracle().scene, record_samples=True, budget=3)
+        with pytest.raises(BudgetExhausted):
+            local_search(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
+                         np.random.default_rng(0))
+        assert oracle.sample_count == len(oracle.samples) == 3
+
+    def test_local_sample_cap(self):
+        p = params(max_local_samples=3)
         oracle = empty_oracle()
         res = local_search(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
-                          np.random.default_rng(0), budget=3)
+                           np.random.default_rng(0))
         assert res.status is LocalStatus.EXHAUSTED
-        assert res.samples_used <= 3
+        assert res.samples_used == oracle.sample_count == 3
 
     def test_samples_match_oracle_meter(self):
         p = params()

@@ -42,7 +42,7 @@ class TestSprintParams:
         {"r_retry": 0},
         {"k_obs": -1},
         {"c_base": 0.0},
-        {"max_total_samples": 0},
+        {"max_local_samples": 0},
         {"ascent_iters": 3},
         {"lam": math.nan},
         {"kappa": math.nan},
@@ -69,11 +69,6 @@ class TestBaselineParams:
         for step in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 BaselineParams(step=step)
-
-    def test_max_samples_positive(self):
-        for budget in (0, -5):
-            with pytest.raises(ValueError, match="max_samples"):
-                BaselineParams(max_samples=budget)
 
     def test_goal_bias_range(self):
         with pytest.raises(ValueError):

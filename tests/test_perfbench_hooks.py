@@ -28,15 +28,14 @@ def test_every_hook_target_exists(tracing):
     assert tracing.Tracer().absent == []
 
 
-def _traced_trial(tracing, planner):
-    """One traced trial on single_box_2d: its record, per-layer call counts
-    and counters."""
-    name = "single_box_2d"
+def _traced_trial(tracing, planner, name="single_box_2d", budget=50_000):
+    """One traced trial, seed 0: its record, per-layer call counts and
+    counters."""
     start, goal = fixture_endpoints(name)
     tracer = tracing.Tracer()
     with tracer.trial({}):
         rec, _, _ = run_trial(planner, fixture_scene(name), start, goal, 0,
-                              SprintParams(lam=fixture_lam(name)), 50_000)
+                              SprintParams(lam=fixture_lam(name)), budget)
     trial = tracer.trials[0]
     return rec, {layer: acc[0] for layer, acc in trial["layers"].items()}, trial["counters"]
 
@@ -56,3 +55,13 @@ def test_traced_baseline_trial_reaches_the_kd_tree_hooks(tracing, planner):
     # the nearest hook's counter takes len() of the KdTree it is called on
     assert counters["baselines.nearest.tree_size"] >= calls["baselines.nearest"]
     assert calls.get("world.is_free", 0) == rec.total_samples
+
+
+@pytest.mark.parametrize("budget", [1, 2, 51])
+@pytest.mark.parametrize("planner", ["sprint", "sprint:no-pr2", "rrt", "rrt-connect"])
+def test_a_query_past_the_budget_never_reaches_is_free(tracing, planner, budget):
+    # the tracer counts every is_free call, so a refused query that reached
+    # it would break calls == total_samples
+    rec, calls, _ = _traced_trial(tracing, planner, "narrow_passage_2d", budget)
+    assert rec.status == "BudgetExhausted"
+    assert calls.get("world.is_free", 0) == rec.total_samples == budget

@@ -8,7 +8,7 @@ from sprint_planner.bench import run_trial
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import (FIXTURE_NAMES, fixture_endpoints, fixture_lam,
                                    fixture_scene)
-from sprint_planner.world import (Box, CollisionOracle, FreeSpaceNotFound, Scene,
+from sprint_planner.world import (BudgetExhausted, Box, CollisionOracle, FreeSpaceNotFound, Scene,
                                   Sphere, load_scene, save_scene, scene_from_dict,
                                   scene_to_dict)
 
@@ -88,6 +88,31 @@ class TestOracle:
         o = CollisionOracle(unit_square())
         with pytest.raises(ValueError):
             o.is_free(np.array([0.5, 0.5, 0.5]))
+
+    def test_budget_must_be_positive(self):
+        for budget in (0, -5, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                CollisionOracle(unit_square(), budget=budget)
+
+    def test_default_budget(self):
+        assert CollisionOracle(unit_square()).budget == 200_000
+
+    def test_query_past_the_budget_is_refused_unmetered(self, monkeypatch):
+        o = CollisionOracle(unit_square(), record_samples=True, budget=3)
+        assert [o.query(np.array([x, 0.5])) for x in (0.5, 1.5, 0.5)] == [True, False, True]
+        calls = []
+        monkeypatch.setattr(CollisionOracle, "is_free", lambda self, q: calls.append(q))
+        for _ in range(2):
+            with pytest.raises(BudgetExhausted):
+                o.query(np.array([0.5, 0.5]))
+        assert calls == []
+        assert o.sample_count == len(o.samples) == 3
+
+    def test_sample_free_stops_at_the_budget(self):
+        o = CollisionOracle(unit_square([Box(np.zeros(2), np.ones(2))]), budget=10)
+        with pytest.raises(BudgetExhausted):
+            o.sample_free(np.random.default_rng(0), max_attempts=50)
+        assert o.sample_count == 10
 
     def test_rejection_attempts_are_metered(self):
         # the box blocks most of the square so rejections must show up in the count
