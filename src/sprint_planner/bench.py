@@ -310,6 +310,10 @@ def load_grid_config(path) -> dict:
                     for v in endpoints.values())):
         raise ValueError('grid config "endpoints" must map scene names to '
                          '[start, goal] lists of finite coordinates')
+    stray = sorted(set(endpoints) - set(cfg["scenes"]))
+    if stray:
+        raise ValueError(f'grid config "endpoints" names scene(s) {", ".join(map(repr, stray))} '
+                         'not in "scenes"')
     return {"scenes": cfg["scenes"], "planners": cfg["planners"], "seeds": seeds,
             "max_samples": max_samples, "params": params_from_json(cfg.get("params", {})),
             "svg": svg, "endpoints": endpoints}
@@ -333,8 +337,16 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
         scene = resolve_scene(ident)
         if ident in cfg["endpoints"]:
             start, goal = (np.array(q, dtype=float) for q in cfg["endpoints"][ident])
-        else:
+        elif ident in FIXTURE_NAMES:
             start, goal = fixture_endpoints(ident)
+        else:
+            raise ValueError(f'scene {ident!r} is no fixture: give its [start, goal] '
+                             'in the grid config\'s "endpoints"')
+        try:
+            # a throwaway oracle: its two samples are no trial's
+            global_planner.check_endpoints(CollisionOracle(scene), start, goal)
+        except ValueError as e:
+            raise ValueError(f"scene {ident!r}: {e}") from None
         scenes[ident] = (scene, start, goal)
     for planner in cfg["planners"]:
         _parse_planner(planner)

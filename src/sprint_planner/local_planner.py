@@ -10,7 +10,6 @@ gradient-steered edge extension.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -73,9 +72,6 @@ class LocalTree(Tree):
         self.records = {0: CheckpointRecord(
             best_goal_dist=self.d_goal[0], max_root_dist=0.0, obs=deque(maxlen=params.k_obs),
         )}
-        # valid_node's memo for these params, held to skip the cache lookup
-        self.stall_cutoffs = _stall_cutoffs(params.kappa, params.c_base,
-                                            params.sigma_slack, params.n_scale)
 
     def add(self, q: Config, parent: int) -> int:
         nid = super().add(q, parent)
@@ -103,60 +99,18 @@ def subtree_sigma(n: int, params: SprintParams) -> float:
     return params.c_base * (1.0 + params.sigma_slack * math.exp(-n / params.n_scale))
 
 
-# Stall counts grow by one per sample, so no run reaches a cutoff this large.
-_UNREACHABLE_STALL = 2 ** 52
-
-
-def _stall_cutoff(n: int, params: SprintParams) -> float:
-    """Smallest integer stall count x whose gate probability
-    exp(-x^2 / 2c^2), c = subtree_sigma(n), falls below kappa; the gate
-    passes a checkpoint exactly when its stall count is below this value.
-
-    The estimate c * sqrt(-2 ln kappa) is corrected by evaluating the gate
-    formula itself at neighbouring integers, so the float decision matches
-    the formula's own rounding.  inf when the formula never rejects (a
-    non-finite 2c^2) or only beyond any reachable stall count.
-    """
-    c = subtree_sigma(n, params)
-    kappa = params.kappa
-    two_c2 = 2.0 * c * c
-    if not math.isfinite(two_c2):
-        return math.inf
-    estimate = c * math.sqrt(-2.0 * math.log(kappa))
-    if estimate >= _UNREACHABLE_STALL:
-        return math.inf
-    x = math.floor(estimate)
-    while x > 0 and math.exp(-((x - 1) * (x - 1)) / two_c2) < kappa:
-        x -= 1
-    while not math.exp(-(x * x) / two_c2) < kappa:
-        x += 1
-    return x
-
-
-# without this memo, gating by the formula ran 1.3-2.5% slower per sample (sprint_highdim, 2 cores)
-@functools.lru_cache(maxsize=64)
-def _stall_cutoffs(kappa: float, c_base: float, sigma_slack: float,
-                   n_scale: float) -> dict[int, float]:
-    """Memo of _stall_cutoff by subtree size for one gate setting, filled
-    on first use.  The entries depend only on the key, so sharing one memo
-    between trees is safe; the LRU bound caps memory when every trial draws
-    new parameters (the random-params ablation)."""
-    return {}
-
-
 def valid_node(node_id: int, tree: LocalTree) -> bool:
     """Gate a node for extension: every checkpoint on its root path must show
     recent exploitation or exploration progress, i.e. a gate probability
-    exp(-x^2 / 2c^2) >= kappa for its stall count x."""
-    cutoffs = tree.stall_cutoffs
+    exp(-x^2 / 2c^2) >= kappa, where x is the smaller of its two stall counts
+    and c = subtree_sigma of its subtree node count."""
+    params = tree.params
     records = tree.records
     for cp in tree.cp_chain[node_id]:
         rec = records[cp]
-        n = rec.subtree_node_count
-        cutoff = cutoffs.get(n)
-        if cutoff is None:
-            cutoff = cutoffs[n] = _stall_cutoff(n, tree.params)
-        if min(rec.samples_since_exploit, rec.samples_since_explore) >= cutoff:
+        x = min(rec.samples_since_exploit, rec.samples_since_explore)
+        c = subtree_sigma(rec.subtree_node_count, params)
+        if math.exp(-(x * x) / (2.0 * c * c)) < params.kappa:
             return False
     return True
 

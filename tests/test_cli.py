@@ -1,8 +1,10 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from sprint_planner import bench
 from sprint_planner.cli import main
 
 # free space is the sliver [0, 1e-6]^2, so milestone rejection sampling
@@ -11,6 +13,8 @@ NO_FREE_SPACE = {"name": "tiny", "lower": [0, 0], "upper": [1, 1], "obstacles": 
     {"type": "box", "min": [1e-6, -1], "max": [2, 2]},
     {"type": "box", "min": [-1, 1e-6], "max": [2, 2]}]}
 NO_FREE_SPACE_ERROR = "error: no free sample found in 100000 attempts\n"
+# a scene file, which carries geometry but no endpoints
+FIXTURE_FILE = str(Path(bench.__file__).parent / "data" / "empty_2d.json")
 
 
 class TestPlanCommand:
@@ -260,6 +264,15 @@ class TestBenchCommand:
         ({"seed": 3}, "seed"),
         ({"endpoints": {"empty_2d": [[10 ** 400, 0.1], [0.9, 0.9]]}}, "endpoints"),
         ({"endpoints": {"empty_2d": [[float("nan"), 0.1], [0.9, 0.9]]}}, "endpoints"),
+        # endpoints are checked before any trial runs, the second scene's too
+        ({"scenes": ["empty_2d", "single_box_2d"],
+          "endpoints": {"single_box_2d": [[0.1, 0.5, 0.5], [0.9, 0.5, 0.5]]}},
+         "scene 'single_box_2d': query dimension 3"),
+        ({"scenes": ["empty_2d", "single_box_2d"],
+          "endpoints": {"single_box_2d": [[0.5, 0.5], [0.9, 0.5]]}},
+         "scene 'single_box_2d': q_init is in collision"),
+        ({"endpoints": {"empty_2": [[0.1, 0.1], [0.9, 0.9]]}}, "'empty_2'"),
+        ({"scenes": [FIXTURE_FILE]}, '"endpoints"'),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"
@@ -273,6 +286,18 @@ class TestBenchCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
         assert not (out / "results.csv").exists()
+
+    def test_bad_endpoints_stop_the_grid_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "scenes": ["empty_2d", "single_box_2d"], "planners": ["sprint"], "seeds": [0],
+            "endpoints": {"single_box_2d": [[0.5, 0.5], [0.9, 0.5]]},
+        }), encoding="utf-8")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "in collision" in capsys.readouterr().err
+        assert calls == []
 
     @staticmethod
     def no_free_space_grid(tmp_path, budget):

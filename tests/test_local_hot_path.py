@@ -1,7 +1,7 @@
 """Equivalence checks for the local layer's hot path: the array repulsion
-against the per-point loop it replaced, the cached culling cutoffs against
-the gate formula, and each checkpoint's collision points against a model
-bounded deque."""
+against the per-point loop it replaced, the culling gate against its
+formula and against pinned boundary stall counts, and each checkpoint's
+collision points against a model bounded deque."""
 
 import math
 from collections import deque
@@ -160,6 +160,31 @@ class TestCachedCutoffGate:
         # an infinite sigma gives gate probability one at every stall count
         p = SprintParams(c_base=math.inf)
         tree = LocalTree(np.zeros(2), np.ones(2), p)
+        rec = tree.records[0]
+        rec.samples_since_exploit = rec.samples_since_explore = 10 ** 9
+        assert valid_node(0, tree)
+
+    # the largest passing stall count at subtree sizes 1, 10, 100, 2000 and
+    # 10**5, as the gate gave before it was evaluated by its formula
+    @pytest.mark.parametrize("changes, largest", [
+        ({}, [130, 80, 46, 46, 46]),
+        ({"c_base": 1000.0}, [4359, 2693, 1551, 1551, 1551]),
+        ({"kappa": 0.01}, [255, 158, 91, 91, 91]),
+        ({"kappa": 0.99}, [11, 7, 4, 4, 4]),
+    ], ids=["default", "c_base=1000", "kappa=0.01", "kappa=0.99"])
+    def test_boundary_is_pinned(self, changes, largest):
+        tree = LocalTree(np.zeros(2), np.ones(2), SprintParams(**changes))
+        rec = tree.records[0]
+        for n, x in zip([1, 10, 100, 2000, 10 ** 5], largest):
+            rec.subtree_node_count = n
+            # the smaller of the two stall counts decides
+            for exploit, explore, passes in [(x, x, True), (x + 1, x + 1, False),
+                                             (x, 10 ** 12, True), (10 ** 12, x + 1, False)]:
+                rec.samples_since_exploit, rec.samples_since_explore = exploit, explore
+                assert valid_node(0, tree) is passes, (n, exploit, explore)
+
+    def test_huge_finite_sigma_passes(self):
+        tree = LocalTree(np.zeros(2), np.ones(2), SprintParams(c_base=1e150))
         rec = tree.records[0]
         rec.samples_since_exploit = rec.samples_since_explore = 10 ** 9
         assert valid_node(0, tree)
