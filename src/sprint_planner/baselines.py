@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Config, dist
 from .global_planner import PlanResult, Tree, check_endpoints
@@ -25,6 +24,9 @@ class KdTree:
 
     Backed by a periodically rebuilt scipy kd-tree plus a brute-force buffer
     of recent insertions, so queries stay exact while insertion stays cheap.
+    `scipy.spatial` is imported at the first rebuild (the `rebuild_every`-th
+    insert), not with this module, so a process that never builds a kd-tree
+    never pays its import.
 
     Callers that know their upcoming queries can `queue` them: `next_target`
     hands them out in order, and the `nearest` call that follows answers the
@@ -38,7 +40,7 @@ class KdTree:
         self.rebuild_every = rebuild_every
         self._pts = np.empty((rebuild_every, dim))
         self._size = 0
-        self._tree: cKDTree | None = None
+        self._tree = None  # scipy cKDTree over the first _tree_size points
         self._tree_size = 0
         self._targets = np.empty((0, dim))
         self._next = 0  # index of the next target next_target() hands out
@@ -62,6 +64,7 @@ class KdTree:
         self._pts[self._size] = q
         self._size += 1
         if self._size - self._tree_size >= self.rebuild_every:
+            from scipy.spatial import cKDTree
             self._tree = cKDTree(self._pts[: self._size].copy())
             self._tree_size = self._size
             self._batch_fresh = False

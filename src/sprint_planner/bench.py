@@ -9,6 +9,7 @@ are machine-independent; wall time is recorded but never a stop condition.
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import itertools
@@ -20,7 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import baselines, global_planner
 from .geometry import Config, unit
@@ -60,7 +60,10 @@ def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
     """Fraction of oracle samples that were free and lie within delta of the
     solution path (point-to-segment distance with clamped projection): its
     rounded squared distance to some segment is `<= delta**2`, so rounding
-    decides the many samples that straight-line extensions leave at 2*lam."""
+    decides the many samples that straight-line extensions leave at 2*lam.
+
+    The first call in a process imports `scipy.spatial` for its kd-tree
+    prune; importing this module does not."""
     if not samples:
         raise ValueError("delta_useful_ratio requires a nonempty sample list")
     if not 0 < delta < math.inf:
@@ -80,6 +83,7 @@ def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
     # its midpoint.  The slack, relative to the distances and to the size of
     # the coordinates, keeps every pair whose rounded distance below can
     # still come out <= delta.
+    from scipy.spatial import cKDTree
     scale = max(np.abs(path).max(), np.abs(free_pts).max())
     reach = (delta + 0.5 * np.sqrt(seg_len2)) * (1.0 + 1e-9) + 1e-9 * scale
     near = cKDTree(free_pts).query_ball_point(a + 0.5 * seg, reach)
@@ -287,6 +291,10 @@ def load_grid_config(path) -> dict:
             raise ValueError(f"grid config missing {key!r}")
         if not isinstance(cfg[key], list) or not all(isinstance(x, str) for x in cfg[key]):
             raise ValueError(f"grid config {key!r} must be a list of strings")
+        # a repeated planner would run its trials twice, a repeated scene once
+        repeated = [x for x, n in collections.Counter(cfg[key]).items() if n > 1]
+        if repeated:
+            raise ValueError(f"grid config {key!r} lists {repeated[0]!r} more than once")
 
     seeds = cfg.get("seeds", {"start": 0, "count": 10})
     if isinstance(seeds, dict) and set(seeds) <= {"start", "count"}:

@@ -1,15 +1,23 @@
-"""tools/ab_inprocess.py's report and exit code, driven by stub sides with
-fixed timings and digests, so no checkout is copied and no trial runs."""
+"""tools/ab_inprocess.py's report, JSON file and exit code, driven by stub
+sides with fixed timings and digests, so no checkout is copied and no trial
+runs; and the schema and digest agreement of every committed `BENCH_*.json`,
+the tool's `--json` output kept as a perf change's evidence.  A file may
+carry digests that differ only with a `"behaviour_change"` string saying
+why."""
 
-import argparse
 import importlib.util
+import json
+import math
 import os
+import re
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_inprocess.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 CELLS = [("sprint", "scene_a"), ("rrt", "scene_b")]
 SAMPLES = 1000
 
@@ -43,14 +51,13 @@ class StubSide:
 def _compare(ab, head_digest=lambda cell, seed: b"same"):
     # base 4 us/sample everywhere; head 2, 8 and 2 us/sample on seeds 0-2
     sides = {"base": StubSide([0.004] * 3), "head": StubSide([0.002, 0.008, 0.002], head_digest)}
-    args = argparse.Namespace(workload="stub", seeds=3, rounds=2)
-    rc = ab.compare(sides, CELLS, args)
+    report = ab.compare(sides, "stub", CELLS, 3, 2)
     assert all(n == 2 for side in sides.values() for n in side.calls.values())
-    return rc
+    return report
 
 
 def test_equal_digests_report_ratio_and_wins(ab, capsys):
-    assert _compare(ab) == 0
+    assert _compare(ab)["overall"]["digests_agree"] is True
     lines = capsys.readouterr().out.splitlines()
     # per seed head/base 0.5, 2, 0.5: geometric mean 0.5 ** (1/3)
     for line, (planner, scene) in zip(lines[2:4], CELLS):
@@ -62,8 +69,134 @@ def test_one_differing_digest_fails(ab, capsys):
     def head_digest(cell, seed):
         return b"other" if (cell, seed) == (CELLS[1], 2) else b"same"
 
-    assert _compare(ab, head_digest) == 1
+    assert _compare(ab, head_digest)["overall"]["digests_agree"] is False
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].split()[-1] == "same"
     assert lines[3].split()[-1] == "DIFFER"
     assert lines[4].endswith("digests DIFFER")
+
+
+def bench_file_problems(data) -> list[str]:
+    """What keeps data from being a well-formed `--json` report."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
+
+    def count(x):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+    def row_problems(where, row, keys):
+        if not isinstance(row, dict) or set(row) != keys:
+            return [f"{where}: keys {sorted(row) if isinstance(row, dict) else row!r}"]
+        out = [f"{where}: {k} {row[k]!r}" for k in ("ratio", "base_us_per_sample",
+                                                     "head_us_per_sample")
+               if k in keys and not number(row[k])]
+        if not (count(row["n"]) and row["n"] >= 1 and count(row["head_wins"])
+                and row["head_wins"] <= row["n"]):
+            out.append(f"{where}: head_wins {row['head_wins']!r} of n {row['n']!r}")
+        if not isinstance(row["digests_agree"], bool):
+            out.append(f"{where}: digests_agree {row['digests_agree']!r}")
+        return out
+
+    top = {"command", "base", "head", "machine", "budget", "seeds", "rounds",
+           "digests_agree", "workloads"}
+    if not isinstance(data, dict) or not top <= set(data) <= top | {"behaviour_change"}:
+        return [f"top-level keys {sorted(data) if isinstance(data, dict) else data!r}"]
+    problems = []
+    if not (isinstance(data["command"], str)
+            and data["command"].startswith("python3 tools/ab_inprocess.py ")):
+        problems.append(f"command {data['command']!r}")
+    for side in ("base", "head"):
+        state = data[side]
+        if not (isinstance(state, dict) and set(state) == {"commit", "src_modified"}
+                and isinstance(state["commit"], (str, type(None)))
+                and isinstance(state["src_modified"], (bool, type(None)))):
+            problems.append(f"{side} {state!r}")
+    if not (isinstance(data["machine"], dict)
+            and set(data["machine"]) == {"python", "numpy", "scipy", "nproc"}):
+        problems.append(f"machine {data['machine']!r}")
+    if not all(count(data[k]) and data[k] >= 1 for k in ("budget", "seeds", "rounds")):
+        problems.append("budget, seeds and rounds must be positive ints")
+    if not (isinstance(data["workloads"], dict) and data["workloads"]):
+        return problems + ["no workloads"]
+    cell_keys = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
+                 "head_wins", "n", "digests_agree"}
+    agree = True
+    for name, wl in data["workloads"].items():
+        if not (isinstance(wl, dict) and set(wl) == {"cells", "overall"}
+                and isinstance(wl["cells"], list) and wl["cells"]):
+            problems.append(f"workload {name}: {wl!r}")
+            continue
+        for i, cell in enumerate(wl["cells"]):
+            cell_problems = row_problems(f"{name} cell {i}", cell, cell_keys)
+            problems += cell_problems
+            if not cell_problems:
+                if cell["n"] != data["seeds"]:
+                    problems.append(f"{name} cell {i}: n {cell['n']} for {data['seeds']} seeds")
+                # a geometric mean of ratios is the ratio of geometric means
+                if not math.isclose(cell["ratio"], cell["head_us_per_sample"]
+                                    / cell["base_us_per_sample"], rel_tol=1e-9):
+                    problems.append(f"{name} cell {i}: ratio {cell['ratio']!r} is not head/base")
+                if wl["overall"].get("digests_agree") is True and not cell["digests_agree"]:
+                    problems.append(f"{name} cell {i}: digests differ, overall says agree")
+        overall_problems = row_problems(f"{name} overall", wl["overall"],
+                                        {"ratio", "head_wins", "n", "digests_agree"})
+        problems += overall_problems
+        if not overall_problems:
+            agree &= wl["overall"]["digests_agree"]
+    if data["digests_agree"] is not agree:
+        problems.append(f"digests_agree {data['digests_agree']!r}; the workloads say {agree}")
+    return problems
+
+
+def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, capsys):
+    # stub checkouts: the head is 2x faster on seed 0 and 2x slower on seed 1
+    seconds = {"ab_base": [0.004, 0.004], "ab_head": [0.002, 0.008]}
+    monkeypatch.setattr(ab, "import_copy", lambda checkout, name, tmp: name)
+    monkeypatch.setattr(ab, "Side", lambda pkg, scene_names: StubSide(seconds[pkg]))
+    out = tmp_path / "BENCH_stub.json"
+    argv = ["--base", str(tmp_path), "--head", str(tmp_path), "--workload", "paper_2d",
+            "sprint_highdim", "--seeds", "2", "--rounds", "2", "--json", str(out)]
+    assert ab.main(argv) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert bench_file_problems(data) == []
+    assert data["command"] == "python3 tools/ab_inprocess.py " + " ".join(argv)
+    # tmp_path is no git work tree
+    assert data["base"] == data["head"] == {"commit": None, "src_modified": None}
+    assert list(data["workloads"]) == ["paper_2d", "sprint_highdim"]
+    assert len(data["workloads"]["paper_2d"]["cells"]) == 9
+    cell = data["workloads"]["sprint_highdim"]["cells"][0]
+    assert (cell["planner"], cell["scene"]) == ("sprint", "narrow_passage_6d")
+    assert (cell["ratio"], cell["head_wins"], cell["n"]) == (1.0, 1, 2)
+    assert capsys.readouterr().out.splitlines()[0].startswith("machine python ")
+
+
+def test_bench_file_check_finds_problems():
+    assert bench_file_problems([]) == ["top-level keys []"]
+    cell = {"planner": "rrt", "scene": "s", "base_us_per_sample": 4.0,
+            "head_us_per_sample": 2.0, "ratio": 0.5, "head_wins": 3, "n": 3,
+            "digests_agree": True}
+    data = {"command": "python3 tools/ab_inprocess.py --workload w", "budget": 1, "seeds": 3,
+            "rounds": 1, "base": {"commit": None, "src_modified": None},
+            "head": {"commit": None, "src_modified": None},
+            "machine": {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2},
+            "digests_agree": True,
+            "workloads": {"w": {"cells": [cell], "overall": {"ratio": 0.5, "head_wins": 3,
+                                                              "n": 3, "digests_agree": True}}}}
+    assert bench_file_problems(data) == []
+    cell.update(head_wins=4)
+    assert bench_file_problems(data) == ["w cell 0: head_wins 4 of n 3"]
+    cell.update(ratio=0.6, head_wins=3, digests_agree=False)
+    assert bench_file_problems(data) == [
+        "w cell 0: ratio 0.6 is not head/base",
+        "w cell 0: digests differ, overall says agree"]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_committed_bench_file(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert bench_file_problems(data) == []
+    # evidence names the commits it compared, each checked out unmodified
+    for side in ("base", "head"):
+        assert re.fullmatch("[0-9a-f]{40}", data[side]["commit"] or "")
+        assert data[side]["src_modified"] is False
+    assert data["digests_agree"] or data.get("behaviour_change")

@@ -273,6 +273,8 @@ class TestBenchCommand:
          "scene 'single_box_2d': q_init is in collision"),
         ({"endpoints": {"empty_2": [[0.1, 0.1], [0.9, 0.9]]}}, "'empty_2'"),
         ({"scenes": [FIXTURE_FILE]}, '"endpoints"'),
+        ({"planners": ["rrt", "sprint", "rrt"]}, "'planners' lists 'rrt' more than once"),
+        ({"scenes": ["empty_2d", "empty_2d"]}, "'scenes' lists 'empty_2d' more than once"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"

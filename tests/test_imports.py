@@ -1,10 +1,17 @@
 """Every name a library module imports is used in that module or listed in
-its `__all__`."""
+its `__all__`; and importing the library costs numpy only: scipy is loaded
+by the first kd-tree build or delta-useful ratio, inside the function that
+needs it, never by a module import."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_behaviour_pin import PINNED, PINNED_BASELINES, PINNED_RATIOS, PINNED_SPRINT_PATHS
 
 import sprint_planner
 
@@ -37,3 +44,81 @@ def test_finds_unused_imports():
     source = ("from __future__ import annotations\nimport os\nimport os.path\n"
               "import numpy as np\nfrom a import b, c as d\n__all__ = ['b']\nprint(np, d)\n")
     assert unused_imports(source) == ["os"]
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Absolute module names imported when the module itself is imported:
+    every import outside a function body, class bodies and `if` blocks
+    included."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(a.name for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    imported = module_level_imports(path.read_text(encoding="utf-8"))
+    assert [m for m in imported if m.partition(".")[0] == "scipy"] == []
+
+
+def test_finds_module_level_imports():
+    source = ("import numpy as np, scipy\nfrom scipy.spatial import cKDTree\nfrom . import world\n"
+              "if np:\n    import scipy.sparse\n"
+              "class K:\n    import json\n    def f(self):\n        import os\n"
+              "def g():\n    from scipy.spatial import cKDTree\n")
+    assert module_level_imports(source) == ["numpy", "scipy", "scipy.spatial", "scipy.sparse",
+                                            "json"]
+
+
+# a fresh interpreter imports every library module, runs a SPRINT trial
+# without its sample log (so no delta-useful ratio), then an RRT trial
+# (kd-tree rebuilds and a ratio), noting after each step whether scipy is loaded
+_LAZY_SCIPY = """
+import hashlib, importlib, json, pkgutil, sys
+import sprint_planner
+from sprint_planner.bench import run_trial
+from sprint_planner.params import SprintParams
+from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
+
+def scipy_loaded():
+    return any(m.partition(".")[0] == "scipy" for m in sys.modules)
+
+def trial(planner, name, seed, record_samples):
+    rec, res, _ = run_trial(planner, fixture_scene(name), *fixture_endpoints(name), seed,
+                            SprintParams(lam=fixture_lam(name)), 50_000,
+                            record_samples=record_samples)
+    return [rec.status, rec.total_samples, hashlib.sha256(res.path.tobytes()).hexdigest()[:16],
+            repr(rec.delta_useful_ratio), scipy_loaded()]
+
+for m in pkgutil.iter_modules(sprint_planner.__path__):
+    importlib.import_module("sprint_planner." + m.name)
+print(json.dumps({"imported": scipy_loaded(),
+                  "sprint": trial("sprint", "narrow_passage_6d", 4, False),
+                  "rrt": trial("rrt", "narrow_passage_2d", 0, True),
+                  "spatial": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_scipy_loads_at_first_kd_tree_use():
+    src = Path(sprint_planner.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    got = json.loads(out.stdout)
+    assert got["imported"] is False
+    assert got["sprint"] == [*PINNED["narrow_passage_6d"][4],
+                             PINNED_SPRINT_PATHS["narrow_passage_6d"][4], "None", False]
+    assert got["rrt"] == [*PINNED_BASELINES["rrt", "narrow_passage_2d"][0],
+                          PINNED_RATIOS["rrt", "narrow_passage_2d"][0], True]
+    assert got["spatial"] is True

@@ -1,5 +1,6 @@
 """Fuzzing of the outside input the library reads: scene JSON objects, grid
-config files, params files, CLI points and CLI numbers.  Each loader either returns or
+config files, params files, CLI points, CLI numbers and `sprint plan`'s
+scene, planner, ablation and endpoint strings.  Each loader either returns or
 raises ValueError (the CLI turns that into a one-line error); any other
 exception would reach the user as a traceback.  derandomize=True makes the
 examples a fixed function of the test, so a run is repeatable."""
@@ -17,10 +18,11 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sprint_planner.bench import PLANNER_IDS, load_grid_config
+from sprint_planner.bench import PLANNER_IDS, AblationMode, load_grid_config
 from sprint_planner.cli import _parse_point, main
 from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
 from sprint_planner.params import SprintParams, params_from_json
+from sprint_planner.scenes import FIXTURE_NAMES
 from sprint_planner.world import scene_from_dict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
@@ -127,6 +129,65 @@ def test_params_from_json(obj):
     tree = LocalTree(np.zeros(2), np.ones(2), p)
     backprop_collision(tree, 0, np.full(2, 0.5))
     assert collision_points(0, tree).shape == (1, 2)
+
+
+# comma-separated coordinates, often a free 2-D point, sometimes anything
+point_texts = (st.lists(st.floats(0, 1).map(repr), min_size=2, max_size=3).map(",".join)
+               | st.lists(st.floats().map(repr) | ints.map(str) | st.text(max_size=4),
+                          max_size=4).map(",".join)
+               | st.text(max_size=16))
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr; argparse's own rejections exit
+    through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(FUZZ, max_examples=50)
+@given(st.sampled_from(FIXTURE_NAMES) | st.text(max_size=12),
+       # argparse rejects every other choice alike: one stands in for them
+       st.sampled_from((*PLANNER_IDS, "RRT")),
+       st.sampled_from([m.value for m in AblationMode]),
+       st.none() | point_texts, st.none() | point_texts)
+@example("", "sprint", "default", None, None)
+@example("empty_2d", "rrt", "no-pr1", None, None)
+@example("empty_2d", "sprint", "no-pr2", "0.1,0.1", "0.1,0.1")
+@example("single_box_2d", "rrt-connect", "default", "0.5,0.5", "0.9,0.9")
+@example("narrow_passage_6d", "sprint", "default", "0.1,0.1", "0.9,0.9")
+@example("empty_2d", "sprint", "default", "0.1,0.1", None)
+@example("-x", "-x", "-x", "-1,-1", "2,2")
+def test_plan_command_strings(scene, planner, ablation, start, goal):
+    # a run prints its one status line; any rejection, argparse's included,
+    # exits 2 with one error line and no traceback
+    argv = ["plan", f"--scene={scene}", f"--planner={planner}", f"--ablation={ablation}",
+            "--max-samples=2000"]
+    argv += [f"--start={start}"] * (start is not None) + [f"--goal={goal}"] * (goal is not None)
+    rc, out, err = _run_main(argv)
+    if rc == 0:
+        assert err == ""
+        assert len(out.splitlines()) == 1 and " status=" in out
+    else:
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert [line for line in lines if "error: " in line] == lines[-1:]
+        assert "Traceback" not in err
+        # the library's own errors are a single line
+        assert len(lines) == 1 or lines[-1].startswith("sprint plan: error: ")
+
+
+def test_empty_scene_name_is_a_one_line_error():
+    # "" names no fixture and resolves to the working directory
+    rc, out, err = _run_main(["plan", "--scene="])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("Is a directory: '.'\n")
+    assert err.count("\n") == 1
 
 
 @settings(FUZZ, max_examples=50)

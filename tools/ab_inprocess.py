@@ -1,7 +1,7 @@
 """Interleaved in-process A/B timing of two checkouts of sprint_planner.
 
     python3 tools/ab_inprocess.py --base ../parent --head . --workload paper_2d \
-        --seeds 10 --rounds 3
+        --seeds 10 --rounds 3 [--json BENCH_x.json]
 
 Copies each checkout's `src/sprint_planner` into a temporary directory under
 the package names `ab_base` and `ab_head`, imports both into one interpreter,
@@ -15,7 +15,15 @@ Per cell it prints each side's geometric mean of µs per oracle sample, their
 ratio (head / base), how many trials the head was faster in, and whether the
 two sides agree on a SHA-256 over every trial's (status, total_samples,
 repr(path_length), repr(delta_useful_ratio), path bytes).  The last line
-gives the same over every cell.  Exits 1 when the digests differ.
+gives the same over every cell.  Several workloads may be named; each gets
+its own table.  Exits 1 when any digests differ.
+
+`--json PATH` also writes the report as JSON: each checkout's commit (and
+whether its `src/` differs from it), the machine, the command, and per
+workload and cell each side's geometric mean, the ratio, the head's wins, n
+and digest agreement.  Committed as `BENCH_*.json`, such a file is a perf
+change's before-and-after evidence; `tests/test_ab_inprocess.py` checks
+every committed one.
 """
 
 from __future__ import annotations
@@ -29,11 +37,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import importlib
+import importlib.metadata
 import importlib.util
 import json
 import math
+import platform
+import shlex
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -97,33 +109,74 @@ def geomean(values) -> float:
     return math.exp(statistics.fmean(math.log(v) for v in values))
 
 
+def git_state(checkout: Path) -> dict:
+    """The commit checked out and whether `src/` differs from it; None for
+    each when checkout is no git work tree."""
+    def git(*cmd):
+        out = subprocess.run(["git", "-C", str(checkout), *cmd], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--", "src")
+    return {"commit": commit, "src_modified": None if status is None else status != ""}
+
+
+def machine_info() -> dict:
+    """The fields of perfbench's machine line."""
+    return {"python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "scipy": importlib.metadata.version("scipy"),
+            "nproc": os.cpu_count()}
+
+
 def main(argv=None) -> int:
     workloads = load_workloads()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout timed as the reference")
     ap.add_argument("--head", type=Path, required=True, help="checkout timed against it")
-    ap.add_argument("--workload", required=True, choices=sorted(workloads))
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(workloads))
     ap.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per cell")
     ap.add_argument("--rounds", type=int, default=3, help="runs per trial and side; the fastest counts")
+    ap.add_argument("--json", type=Path, help="also write the report to this JSON file")
     args = ap.parse_args(argv)
     if args.seeds < 1 or args.rounds < 1:
         ap.error("--seeds and --rounds must be >= 1")
 
-    wl = workloads[args.workload]
+    machine = machine_info()
+    print("machine " + " ".join(f"{k} {v}" for k, v in machine.items()))
+    scene_names = sorted({s for w in args.workload for s in workloads[w].scenes})
+    reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {side: Side(import_copy(getattr(args, side).resolve(), f"ab_{side}", Path(tmp)),
-                            wl.scenes)
+                            scene_names)
                  for side in SIDES}
-        return compare(sides, [(p, s) for p in wl.planners for s in wl.scenes], args)
+        for name in args.workload:
+            wl = workloads[name]
+            reports[name] = compare(sides, name, [(p, s) for p in wl.planners for s in wl.scenes],
+                                    args.seeds, args.rounds)
+    agree = all(r["overall"]["digests_agree"] for r in reports.values())
+    if args.json:
+        report = {
+            "command": shlex.join(["python3", "tools/ab_inprocess.py",
+                                   *(sys.argv[1:] if argv is None else argv)]),
+            "base": git_state(args.base), "head": git_state(args.head),
+            "machine": machine, "budget": BUDGET, "seeds": args.seeds, "rounds": args.rounds,
+            "digests_agree": agree, "workloads": reports,
+        }
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0 if agree else 1
 
 
-def compare(sides: dict, cells: list[tuple[str, str]], args) -> int:
+def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: int,
+            rounds: int) -> dict:
+    """Time every (cell, seed) trial on both sides, print the workload's
+    table and return it as the JSON report's workload entry."""
     best = {}  # (side, cell, seed) -> [seconds, samples, digest]
     agree = True
-    for r in range(args.rounds):
+    for r in range(rounds):
         for c, (planner, scene_name) in enumerate(cells):
-            for seed in range(args.seeds):
+            for seed in range(n_seeds):
                 order = SIDES if (r + c + seed) % 2 == 0 else SIDES[::-1]
                 for side in order:
                     elapsed, samples, digest = sides[side].trial(planner, scene_name, seed)
@@ -138,23 +191,31 @@ def compare(sides: dict, cells: list[tuple[str, str]], args) -> int:
         seconds, samples, _ = best[side, c, seed]
         return 1e6 * seconds / samples
 
-    print(f"workload {args.workload}  seeds 0-{args.seeds - 1}  best of {args.rounds}  budget {BUDGET}")
+    print(f"workload {workload}  seeds 0-{n_seeds - 1}  best of {rounds}  budget {BUDGET}")
     print(f"{'cell':<32} {'base us/s':>10} {'head us/s':>10} {'head/base':>10} {'head won':>9} digests")
-    all_ratios, all_wins = [], 0
+    all_ratios, all_wins, rows = [], 0, []
     for c, (planner, scene_name) in enumerate(cells):
-        seeds = range(args.seeds)
+        seeds = range(n_seeds)
         ratios = [us("head", c, s) / us("base", c, s) for s in seeds]
         wins = sum(best["head", c, s][0] < best["base", c, s][0] for s in seeds)
         same = all(best["head", c, s][2] == best["base", c, s][2] for s in seeds)
         agree &= same
         all_ratios += ratios
         all_wins += wins
-        print(f"{planner + ' ' + scene_name:<32} {geomean(us('base', c, s) for s in seeds):>10.2f} "
-              f"{geomean(us('head', c, s) for s in seeds):>10.2f} {geomean(ratios):>10.3f} "
-              f"{wins:>5}/{args.seeds:<3} {'same' if same else 'DIFFER'}")
-    print(f"overall head/base {geomean(all_ratios):.3f}  head won {all_wins}/{len(all_ratios)}  "
+        row = {"planner": planner, "scene": scene_name,
+               "base_us_per_sample": geomean(us("base", c, s) for s in seeds),
+               "head_us_per_sample": geomean(us("head", c, s) for s in seeds),
+               "ratio": geomean(ratios), "head_wins": wins, "n": n_seeds,
+               "digests_agree": same}
+        rows.append(row)
+        print(f"{planner + ' ' + scene_name:<32} {row['base_us_per_sample']:>10.2f} "
+              f"{row['head_us_per_sample']:>10.2f} {row['ratio']:>10.3f} "
+              f"{wins:>5}/{n_seeds:<3} {'same' if same else 'DIFFER'}")
+    overall = {"ratio": geomean(all_ratios), "head_wins": all_wins, "n": len(all_ratios),
+               "digests_agree": agree}
+    print(f"overall head/base {overall['ratio']:.3f}  head won {all_wins}/{len(all_ratios)}  "
           f"digests {'same' if agree else 'DIFFER'}")
-    return 0 if agree else 1
+    return {"cells": rows, "overall": overall}
 
 
 if __name__ == "__main__":
