@@ -148,7 +148,7 @@ def resolve_scene(ident: str) -> Scene:
     if ident in FIXTURE_NAMES:
         return fixture_scene(ident)
     p = Path(ident)
-    if p.exists():
+    if p.is_file():
         return load_scene(p)
     raise ValueError(f"unknown scene {ident!r}: not a fixture name or existing file")
 

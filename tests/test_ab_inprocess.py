@@ -1,13 +1,10 @@
 """tools/ab_inprocess.py's report, JSON file and exit code, driven by stub
 sides with fixed timings and digests, so no checkout is copied and no trial
 runs; and the schema and digest agreement of every committed `BENCH_*.json`,
-the tool's `--json` output kept as a perf change's evidence.  A file may
-carry digests that differ only with a `"behaviour_change"` string saying
-why."""
+the tool's `--json` output kept as a perf change's evidence."""
 
 import importlib.util
 import json
-import math
 import os
 import re
 from pathlib import Path
@@ -76,73 +73,42 @@ def test_one_differing_digest_fails(ab, capsys):
     assert lines[4].endswith("digests DIFFER")
 
 
+TOP_KEYS = {"command", "base", "head", "machine", "budget", "seeds", "rounds",
+            "digests_agree", "workloads"}
+CELL_KEYS = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
+             "head_wins", "n", "digests_agree"}
+OVERALL_KEYS = {"ratio", "head_wins", "n", "digests_agree"}
+
+
 def bench_file_problems(data) -> list[str]:
-    """What keeps data from being a well-formed `--json` report."""
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
-
-    def count(x):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-    def row_problems(where, row, keys):
-        if not isinstance(row, dict) or set(row) != keys:
-            return [f"{where}: keys {sorted(row) if isinstance(row, dict) else row!r}"]
-        out = [f"{where}: {k} {row[k]!r}" for k in ("ratio", "base_us_per_sample",
-                                                     "head_us_per_sample")
-               if k in keys and not number(row[k])]
-        if not (count(row["n"]) and row["n"] >= 1 and count(row["head_wins"])
-                and row["head_wins"] <= row["n"]):
-            out.append(f"{where}: head_wins {row['head_wins']!r} of n {row['n']!r}")
-        if not isinstance(row["digests_agree"], bool):
-            out.append(f"{where}: digests_agree {row['digests_agree']!r}")
-        return out
-
-    top = {"command", "base", "head", "machine", "budget", "seeds", "rounds",
-           "digests_agree", "workloads"}
-    if not isinstance(data, dict) or not top <= set(data) <= top | {"behaviour_change"}:
+    """What keeps data from being a `--json` report: its key sets, the types
+    of each side's git state, and digest agreement that holds at the top
+    level only if it holds in every workload, and in a workload only if in
+    every cell."""
+    if not isinstance(data, dict) or set(data) != TOP_KEYS:
         return [f"top-level keys {sorted(data) if isinstance(data, dict) else data!r}"]
     problems = []
-    if not (isinstance(data["command"], str)
-            and data["command"].startswith("python3 tools/ab_inprocess.py ")):
-        problems.append(f"command {data['command']!r}")
     for side in ("base", "head"):
         state = data[side]
         if not (isinstance(state, dict) and set(state) == {"commit", "src_modified"}
                 and isinstance(state["commit"], (str, type(None)))
                 and isinstance(state["src_modified"], (bool, type(None)))):
             problems.append(f"{side} {state!r}")
-    if not (isinstance(data["machine"], dict)
-            and set(data["machine"]) == {"python", "numpy", "scipy", "nproc"}):
-        problems.append(f"machine {data['machine']!r}")
-    if not all(count(data[k]) and data[k] >= 1 for k in ("budget", "seeds", "rounds")):
-        problems.append("budget, seeds and rounds must be positive ints")
     if not (isinstance(data["workloads"], dict) and data["workloads"]):
         return problems + ["no workloads"]
-    cell_keys = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
-                 "head_wins", "n", "digests_agree"}
     agree = True
     for name, wl in data["workloads"].items():
         if not (isinstance(wl, dict) and set(wl) == {"cells", "overall"}
-                and isinstance(wl["cells"], list) and wl["cells"]):
-            problems.append(f"workload {name}: {wl!r}")
+                and isinstance(wl["cells"], list) and wl["cells"]
+                and all(isinstance(c, dict) and set(c) == CELL_KEYS for c in wl["cells"])
+                and isinstance(wl["overall"], dict) and set(wl["overall"]) == OVERALL_KEYS):
+            problems.append(f"workload {name}: keys")
             continue
-        for i, cell in enumerate(wl["cells"]):
-            cell_problems = row_problems(f"{name} cell {i}", cell, cell_keys)
-            problems += cell_problems
-            if not cell_problems:
-                if cell["n"] != data["seeds"]:
-                    problems.append(f"{name} cell {i}: n {cell['n']} for {data['seeds']} seeds")
-                # a geometric mean of ratios is the ratio of geometric means
-                if not math.isclose(cell["ratio"], cell["head_us_per_sample"]
-                                    / cell["base_us_per_sample"], rel_tol=1e-9):
-                    problems.append(f"{name} cell {i}: ratio {cell['ratio']!r} is not head/base")
-                if wl["overall"].get("digests_agree") is True and not cell["digests_agree"]:
-                    problems.append(f"{name} cell {i}: digests differ, overall says agree")
-        overall_problems = row_problems(f"{name} overall", wl["overall"],
-                                        {"ratio", "head_wins", "n", "digests_agree"})
-        problems += overall_problems
-        if not overall_problems:
-            agree &= wl["overall"]["digests_agree"]
+        cells_agree = all(c["digests_agree"] is True for c in wl["cells"])
+        if wl["overall"]["digests_agree"] is not cells_agree:
+            problems.append(f"{name}: digests_agree {wl['overall']['digests_agree']!r}; "
+                            f"the cells say {cells_agree}")
+        agree &= cells_agree
     if data["digests_agree"] is not agree:
         problems.append(f"digests_agree {data['digests_agree']!r}; the workloads say {agree}")
     return problems
@@ -172,23 +138,17 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
 
 def test_bench_file_check_finds_problems():
     assert bench_file_problems([]) == ["top-level keys []"]
-    cell = {"planner": "rrt", "scene": "s", "base_us_per_sample": 4.0,
-            "head_us_per_sample": 2.0, "ratio": 0.5, "head_wins": 3, "n": 3,
-            "digests_agree": True}
-    data = {"command": "python3 tools/ab_inprocess.py --workload w", "budget": 1, "seeds": 3,
-            "rounds": 1, "base": {"commit": None, "src_modified": None},
-            "head": {"commit": None, "src_modified": None},
-            "machine": {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2},
-            "digests_agree": True,
-            "workloads": {"w": {"cells": [cell], "overall": {"ratio": 0.5, "head_wins": 3,
-                                                              "n": 3, "digests_agree": True}}}}
+    cell = {k: 1 for k in CELL_KEYS} | {"digests_agree": True}
+    overall = {k: 1 for k in OVERALL_KEYS} | {"digests_agree": True}
+    data = {k: 1 for k in TOP_KEYS} | {
+        "base": {"commit": None, "src_modified": None},
+        "head": {"commit": None, "src_modified": None},
+        "digests_agree": True, "workloads": {"w": {"cells": [cell], "overall": overall}}}
     assert bench_file_problems(data) == []
-    cell.update(head_wins=4)
-    assert bench_file_problems(data) == ["w cell 0: head_wins 4 of n 3"]
-    cell.update(ratio=0.6, head_wins=3, digests_agree=False)
-    assert bench_file_problems(data) == [
-        "w cell 0: ratio 0.6 is not head/base",
-        "w cell 0: digests differ, overall says agree"]
+    assert bench_file_problems(data | {"note": "x"})[0].startswith("top-level keys")
+    cell["digests_agree"] = False
+    assert bench_file_problems(data) == ["w: digests_agree True; the cells say False",
+                                         "digests_agree True; the workloads say False"]
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
@@ -199,4 +159,4 @@ def test_committed_bench_file(path):
     for side in ("base", "head"):
         assert re.fullmatch("[0-9a-f]{40}", data[side]["commit"] or "")
         assert data[side]["src_modified"] is False
-    assert data["digests_agree"] or data.get("behaviour_change")
+    assert data["digests_agree"] is True

@@ -382,3 +382,7 @@ class TestResolveScene:
     def test_unknown_identifier(self):
         with pytest.raises(ValueError):
             resolve_scene("no_such_scene")
+
+    def test_directory_is_no_scene_file(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown scene"):
+            resolve_scene(str(tmp_path))

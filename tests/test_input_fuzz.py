@@ -183,10 +183,10 @@ def test_plan_command_strings(scene, planner, ablation, start, goal):
 
 
 def test_empty_scene_name_is_a_one_line_error():
-    # "" names no fixture and resolves to the working directory
+    # "" names no fixture; as a path it is the working directory, no scene file
     rc, out, err = _run_main(["plan", "--scene="])
     assert (rc, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith("Is a directory: '.'\n")
+    assert err.startswith("error: unknown scene ''")
     assert err.count("\n") == 1
 
 

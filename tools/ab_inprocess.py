@@ -37,11 +37,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import importlib
-import importlib.metadata
 import importlib.util
 import json
 import math
-import platform
 import shlex
 import shutil
 import statistics
@@ -56,12 +54,13 @@ BUDGET = 50_000
 SIDES = ("base", "head")
 
 
-def load_workloads() -> dict:
+def load_perfbench():
+    """perfbench/run.py as a module: its WORKLOADS and machine_info."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 def import_copy(checkout: Path, name: str, tmp: Path):
@@ -121,16 +120,9 @@ def git_state(checkout: Path) -> dict:
     return {"commit": commit, "src_modified": None if status is None else status != ""}
 
 
-def machine_info() -> dict:
-    """The fields of perfbench's machine line."""
-    return {"python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy"),
-            "scipy": importlib.metadata.version("scipy"),
-            "nproc": os.cpu_count()}
-
-
 def main(argv=None) -> int:
-    workloads = load_workloads()
+    perfbench = load_perfbench()
+    workloads = perfbench.WORKLOADS
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout timed as the reference")
     ap.add_argument("--head", type=Path, required=True, help="checkout timed against it")
@@ -142,7 +134,7 @@ def main(argv=None) -> int:
     if args.seeds < 1 or args.rounds < 1:
         ap.error("--seeds and --rounds must be >= 1")
 
-    machine = machine_info()
+    machine = perfbench.machine_info()
     print("machine " + " ".join(f"{k} {v}" for k, v in machine.items()))
     scene_names = sorted({s for w in args.workload for s in workloads[w].scenes})
     reports = {}
