@@ -24,32 +24,30 @@ class KdTree:
 
     Backed by a periodically rebuilt scipy kd-tree plus a brute-force buffer
     of recent insertions, so queries stay exact while insertion stays cheap.
-    `scipy.spatial` is imported at the first rebuild (the `rebuild_every`-th
-    insert), not with this module, so a process that never builds a kd-tree
-    never pays its import.
+    `scipy.spatial` is imported when the first KdTree is built, not with this
+    module: a process that never builds a kd-tree never pays its import, and
+    a planner that builds its trees before it starts its clock is not
+    charged for it.
 
-    Callers that know their upcoming queries can `queue` them: `next_target`
-    hands them out in order, and the `nearest` call that follows answers the
-    kd-tree part of every queued target still ahead in one batched scipy
-    query.  The buffer scan stays per query, because the buffer grows between
-    queries.
+    A query for row k of a target block, `nearest(block[k], row=(block, k))`,
+    answers the kd-tree part of rows k.. in one batched scipy query, kept for
+    the rows that follow until the block or the scipy index changes;
+    `nearest_each` walks a block that way.  The buffer scan stays per query,
+    because the buffer grows between queries.
     """
 
     def __init__(self, dim: int, rebuild_every: int = 256):
+        from scipy.spatial import cKDTree
+        self._cKDTree = cKDTree
         self.dim = dim
         self.rebuild_every = rebuild_every
         self._pts = np.empty((rebuild_every, dim))
         self._size = 0
         self._tree = None  # scipy cKDTree over the first _tree_size points
         self._tree_size = 0
-        self._targets = np.empty((0, dim))
-        self._next = 0  # index of the next target next_target() hands out
-        self._pending: int | None = None  # target the next nearest() answers
-        # scipy answers for the targets from _batch_start on; stale once a
-        # rebuild or a new queue replaces what they were computed against
-        self._batch_d = self._batch_i = np.empty(0)
-        self._batch_start = 0
-        self._batch_fresh = False
+        # (block, scipy index, first row, distances, indices) of the last
+        # batched query: the answers for that block's rows from the first on
+        self._batch = None
 
     def __len__(self) -> int:
         return self._size
@@ -64,50 +62,26 @@ class KdTree:
         self._pts[self._size] = q
         self._size += 1
         if self._size - self._tree_size >= self.rebuild_every:
-            from scipy.spatial import cKDTree
-            self._tree = cKDTree(self._pts[: self._size].copy())
+            self._tree = self._cKDTree(self._pts[: self._size].copy())
             self._tree_size = self._size
-            self._batch_fresh = False
         return self._size - 1
 
-    def queue(self, targets: np.ndarray) -> None:
-        """Replace the queued targets with the rows of `targets`, (n, dim)."""
-        if targets.ndim != 2 or targets.shape[1] != self.dim:
-            raise ValueError("targets must be an (n, dim) array")
-        self._targets = targets
-        self._next = 0
-        self._pending = None
-        self._batch_fresh = False
-
-    @property
-    def queued(self) -> int:
-        """Queued targets that `next_target` has not handed out yet."""
-        return len(self._targets) - self._next
-
-    def next_target(self) -> Config:
-        """The next queued target; the next `nearest` call must be for it."""
-        if not self.queued:
-            raise IndexError("no queued target left")
-        self._pending = self._next
-        self._next += 1
-        return self._targets[self._pending]
-
-    def nearest(self, q: Config) -> int:
+    def nearest(self, q: Config, row: tuple[np.ndarray, int] | None = None) -> int:
+        """Index of the point nearest q; row = (block, k) when q is row k of
+        the (n, dim) array block, which must not change while it is queried."""
         if self._size == 0:
             raise ValueError("nearest query on an empty tree")
         best_d = np.inf
         best_i = -1
-        k, self._pending = self._pending, None
         if self._tree is not None:
-            if k is None:
+            if row is None:
                 d, i = self._tree.query(q)
             else:
-                if not self._batch_fresh:
-                    self._batch_d, self._batch_i = self._tree.query(self._targets[k:])
-                    self._batch_start = k
-                    self._batch_fresh = True
-                d = self._batch_d[k - self._batch_start]
-                i = self._batch_i[k - self._batch_start]
+                block, k = row
+                b = self._batch
+                if b is None or b[0] is not block or b[1] is not self._tree or k < b[2]:
+                    b = self._batch = (block, self._tree, k, *self._tree.query(block[k:]))
+                d, i = b[3][k - b[2]], b[4][k - b[2]]
             best_d, best_i = float(d), int(i)
         if self._tree_size < self._size:
             buf = self._pts[self._tree_size : self._size]
@@ -117,6 +91,14 @@ class KdTree:
             if float(dd[j]) < best_d * best_d:
                 best_i = self._tree_size + j
         return best_i
+
+    def nearest_each(self, block: np.ndarray):
+        """Yield (target, index nearest it) for each row of block, (n, dim),
+        in order; the caller may insert between rows."""
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise ValueError("block must be an (n, dim) array")
+        for k, q in enumerate(block):
+            yield q, self.nearest(q, (block, k))
 
 
 def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
@@ -175,33 +157,27 @@ def _rrt_targets(rng: np.random.Generator, n: int, lo: Config, hi: Config,
 def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
              params: BaselineParams, rng: np.random.Generator) -> PlanResult:
     """Goal-biased RRT with fixed-step extension and per-step point checks."""
-    t0 = time.perf_counter()
     lo, hi = oracle.scene.lower, oracle.scene.upper
-
     tree = _Tree(q_init)
-    kd = tree.kd
+    t0 = time.perf_counter()
 
     path_pts = None
     carry = np.empty(0)
     try:
         check_endpoints(oracle, q_init, q_goal)
         while path_pts is None:
-            if not kd.queued:
-                targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi,
-                                              q_goal, params.goal_bias, carry)
-                kd.queue(targets)
-            q_rand = kd.next_target()
-            ni = kd.nearest(q_rand)
-            q_new = _steer(tree.points[ni], q_rand, params.step)
-            if q_new is None:
-                continue
-            if not oracle.query(q_new):
-                continue
-            i = tree.add(q_new, ni)
-            if dist(q_new, q_goal) <= params.step:
-                path_pts = tree.path_to(i)
-                if not np.array_equal(path_pts[-1], q_goal):
-                    path_pts.append(q_goal)
+            targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi, q_goal,
+                                          params.goal_bias, carry)
+            for q_rand, ni in tree.kd.nearest_each(targets):
+                q_new = _steer(tree.points[ni], q_rand, params.step)
+                if q_new is None or not oracle.query(q_new):
+                    continue
+                i = tree.add(q_new, ni)
+                if dist(q_new, q_goal) <= params.step:
+                    path_pts = tree.path_to(i)
+                    if not np.array_equal(path_pts[-1], q_goal):
+                        path_pts.append(q_goal)
+                    break
     except BudgetExhausted:
         pass
     return PlanResult.finish(path_pts, oracle.sample_count, t0, (tree,))
@@ -210,39 +186,30 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
 def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                      params: BaselineParams, rng: np.random.Generator) -> PlanResult:
     """Bidirectional RRT with the greedy connect heuristic."""
-    t0 = time.perf_counter()
     lo, hi = oracle.scene.lower, oracle.scene.upper
-    dim = oracle.scene.dim
-
     trees = (_Tree(q_init), _Tree(q_goal))
-    ta, tb = trees
-    a_is_start = True
-
-    def extend(tree: _Tree, target: Config) -> int | None:
-        ni = tree.kd.nearest(target)
-        q_new = _steer(tree.points[ni], target, params.step)
-        if q_new is None:
-            return ni if np.array_equal(tree.points[ni], target) else None
-        if not oracle.query(q_new):
-            return None
-        return tree.add(q_new, ni)
+    t0 = time.perf_counter()
 
     path_pts = None
     try:
         check_endpoints(oracle, q_init, q_goal)
         while path_pts is None:
-            if not ta.kd.queued:
-                # row i holds the values iteration i drew on its own before, from
-                # one call instead of one call per row with array bounds.  Both
-                # queues get TARGET_BLOCK rows and the trees swap every iteration,
-                # so the queues run dry together, with `ta` the start tree: even
-                # rows are its targets and odd rows the goal tree's
-                block = rng.uniform(lo, hi, size=(2 * TARGET_BLOCK, dim))
-                ta.kd.queue(block[0::2])
-                tb.kd.queue(block[1::2])
-            q_rand = ta.kd.next_target()
-            ia = extend(ta, q_rand)
-            if ia is not None:
+            # row k holds the values iteration k drew on its own before, from
+            # one call instead of one call per row with array bounds.  Row k
+            # extends trees[k % 2], the start tree on even rows, and connects
+            # the other tree to the new node
+            block = rng.uniform(lo, hi, size=(2 * TARGET_BLOCK, oracle.scene.dim))
+            rows = [tree.kd.nearest_each(block[i::2]) for i, tree in enumerate(trees)]
+            for k in range(len(block)):
+                ta, tb = trees[k % 2], trees[1 - k % 2]
+                q_rand, ni = next(rows[k % 2])
+                q_new = _steer(ta.points[ni], q_rand, params.step)
+                if q_new is None and np.array_equal(ta.points[ni], q_rand):
+                    ia = ni
+                elif q_new is not None and oracle.query(q_new):
+                    ia = ta.add(q_new, ni)
+                else:
+                    continue
                 q_new = ta.points[ia]
                 # greedily connect the other tree toward the new node
                 ib = None
@@ -265,10 +232,9 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                     if np.array_equal(pa[-1], pb[0]):
                         pb = pb[1:]
                     path_pts = pa + pb
-                    if not a_is_start:
+                    if k % 2:
                         path_pts.reverse()
-            ta, tb = tb, ta
-            a_is_start = not a_is_start
+                    break
     except BudgetExhausted:
         pass
     return PlanResult.finish(path_pts, oracle.sample_count, t0, trees)

@@ -13,7 +13,6 @@ import collections
 import csv
 import enum
 import itertools
-import json
 import math
 import statistics
 import sys
@@ -28,7 +27,7 @@ from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
 from .params import BaselineParams, params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
-from .world import CollisionOracle, Scene, load_scene
+from .world import CollisionOracle, Scene, load_scene, read_json
 
 CSV_HEADER = "planner,scene,seed,status,total_samples,path_length,wall_time_s,delta_useful_ratio"
 
@@ -278,8 +277,7 @@ def load_grid_config(path) -> dict:
     allocates nothing), params built into SprintParams, and the documented
     defaults for omitted optional keys.  Any malformed field raises
     ValueError."""
-    with open(path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError("grid config must be a JSON object")
     unknown = sorted(set(cfg) - set(_GRID_KEYS))

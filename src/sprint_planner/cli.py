@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,14 +13,13 @@ from .geometry import as_config
 from .params import SprintParams, params_from_json
 from .render import check_renderable, render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints
-from .world import FreeSpaceNotFound
+from .world import FreeSpaceNotFound, read_json
 
 
 def _load_params(path: str | None) -> SprintParams:
     if path is None:
         return SprintParams()
-    with open(path, "r", encoding="utf-8") as f:
-        return params_from_json(json.load(f))
+    return params_from_json(read_json(path))
 
 
 def _parse_point(flag: str, text: str) -> np.ndarray:

@@ -208,12 +208,21 @@ def scene_from_dict(data: dict) -> Scene:
     return Scene(name=name, lower=lower, upper=upper, obstacles=tuple(obstacles))
 
 
-def load_scene(path) -> Scene:
+def read_json(path):
+    """The JSON value in the file at path.  Text that is no JSON, or JSON
+    nested too deeply for the parser's recursion, raises ValueError, so a
+    bad file gives a one-line error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            data = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}: invalid JSON: {e}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_scene(path) -> Scene:
+    data = read_json(path)
     try:
         return scene_from_dict(data)
     except ValueError as e:

@@ -120,15 +120,17 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
     monkeypatch.setattr(ab, "import_copy", lambda checkout, name, tmp: name)
     monkeypatch.setattr(ab, "Side", lambda pkg, scene_names: StubSide(seconds[pkg]))
     out = tmp_path / "BENCH_stub.json"
+    # workloads named after one flag and after a repeated flag all run
     argv = ["--base", str(tmp_path), "--head", str(tmp_path), "--workload", "paper_2d",
-            "sprint_highdim", "--seeds", "2", "--rounds", "2", "--json", str(out)]
+            "sprint_highdim", "--seeds", "2", "--workload", "baselines_mix", "--rounds", "2",
+            "--json", str(out)]
     assert ab.main(argv) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert bench_file_problems(data) == []
     assert data["command"] == "python3 tools/ab_inprocess.py " + " ".join(argv)
     # tmp_path is no git work tree
     assert data["base"] == data["head"] == {"commit": None, "src_modified": None}
-    assert list(data["workloads"]) == ["paper_2d", "sprint_highdim"]
+    assert list(data["workloads"]) == ["paper_2d", "sprint_highdim", "baselines_mix"]
     assert len(data["workloads"]["paper_2d"]["cells"]) == 9
     cell = data["workloads"]["sprint_highdim"]["cells"][0]
     assert (cell["planner"], cell["scene"]) == ("sprint", "narrow_passage_6d")

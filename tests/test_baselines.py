@@ -65,22 +65,26 @@ def scan(pts, q):
 
 
 class TestKdTreeQueue:
+    """Queries for the rows of a block of targets drawn ahead, batched by
+    nearest_each."""
+
     def test_queued_answers_match_direct_query_and_scan(self):
         # random block lengths and ~0.7 inserts per query put rebuilds
         # (every 16 inserts) anywhere in a block
         rng = np.random.default_rng(2)
-        queued, direct = KdTree(3, rebuild_every=16), KdTree(3, rebuild_every=16)
-        pts = []
+        batched, direct = KdTree(3, rebuild_every=16), KdTree(3, rebuild_every=16)
+        pts = [rng.uniform(0, 1, 3)]
+        batched.insert(pts[0])
+        direct.insert(pts[0])
         for _ in range(12):
-            queued.queue(rng.uniform(0, 1, size=(int(rng.integers(1, 30)), 3)))
-            while queued.queued:
-                if not pts or rng.random() < 0.7:
+            block = rng.uniform(0, 1, size=(int(rng.integers(1, 30)), 3))
+            for q, got in batched.nearest_each(block):
+                assert got == direct.nearest(q) == scan(pts, q)
+                if rng.random() < 0.7:
                     p = rng.uniform(0, 1, 3)
                     pts.append(p)
-                    queued.insert(p)
+                    batched.insert(p)
                     direct.insert(p)
-                q = queued.next_target()
-                assert queued.nearest(q) == direct.nearest(q) == scan(pts, q)
         assert len(pts) > 100
 
     def test_rebuild_mid_block_reanswers_remaining_targets(self):
@@ -90,18 +94,18 @@ class TestKdTreeQueue:
             kd.insert(p)  # the 16th insert builds the scipy index
         rng = np.random.default_rng(3)
         targets = rng.uniform(0, 0.2, size=(8, 2))
-        kd.queue(targets)
+        rows = kd.nearest_each(targets)
         for _ in range(2):
-            q = kd.next_target()
-            assert kd.nearest(q) == scan(pts, q)
+            q, got = next(rows)
+            assert got == scan(pts, q)
         # a full rebuild period lands mid-block: afterwards the buffer is
         # empty and every answer must come from the new index
         for p in rng.uniform(0, 0.2, size=(16, 2)):
             pts.append(p)
             kd.insert(p)
-        while kd.queued:
-            q = kd.next_target()
-            got = kd.nearest(q)
+        rest = list(rows)
+        assert len(rest) == 6
+        for q, got in rest:
             assert got == scan(pts, q) and got >= 16
 
     def test_unqueued_queries_interleave_with_queued_ones(self):
@@ -110,30 +114,40 @@ class TestKdTreeQueue:
         pts = [rng.uniform(0, 1, 2) for _ in range(40)]
         for p in pts:
             kd.insert(p)
-        kd.queue(rng.uniform(0, 1, size=(20, 2)))
-        while kd.queued:
-            q = kd.next_target()
-            assert kd.nearest(q) == scan(pts, q)
+        block = rng.uniform(0, 1, size=(20, 2))
+        for k, (q, got) in enumerate(kd.nearest_each(block)):
+            assert got == scan(pts, q)
             for _ in range(int(rng.integers(0, 3))):
                 other = rng.uniform(0, 1, 2)
                 assert kd.nearest(other) == scan(pts, other)
             p = rng.uniform(0, 1, 2)
             pts.append(p)
             kd.insert(p)
+        # between two rows, a plain query answers its own point, not the
+        # next row's, and leaves the rows' batched answers as they were;
+        # every point is in the scipy index
+        kd = KdTree(2, rebuild_every=16)
+        pts = [np.array([i / 16, 0.0]) for i in range(15)] + [np.array([0.5, 1.0])]
+        for p in pts:
+            kd.insert(p)
+        rows = kd.nearest_each(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+        assert next(rows)[1] == 0
+        other = np.array([0.5, 0.9])
+        assert kd.nearest(other) == scan(pts, other) == 15
+        assert [got for _, got in rows] == [14, 0]
 
     def test_repeated_target_in_a_block(self):
-        # goal bias queues the same goal configuration several times
+        # goal bias puts the same goal configuration in a block several times
         rng = np.random.default_rng(5)
         goal = np.array([0.5, 0.5])
         kd = KdTree(2, rebuild_every=16)
         pts = [rng.uniform(0, 1, 2) for _ in range(20)]
         for p in pts:
             kd.insert(p)
-        kd.queue(np.array([goal, rng.uniform(0, 1, 2), goal, goal, goal]))
         answers = []
-        for step in range(5):
-            q = kd.next_target()
-            answers.append(kd.nearest(q))
+        block = np.array([goal, rng.uniform(0, 1, 2), goal, goal, goal])
+        for step, (q, got) in enumerate(kd.nearest_each(block)):
+            answers.append(got)
             assert answers[-1] == scan(pts, q)
             # move ever closer to the goal, so each repeat has a new answer
             p = goal + 1e-3 / (step + 1)
@@ -143,21 +157,22 @@ class TestKdTreeQueue:
 
     def test_queue_checks_shape_and_exhaustion(self):
         kd = KdTree(2)
+        kd.insert(np.zeros(2))
         with pytest.raises(ValueError):
-            kd.queue(np.zeros((3, 3)))
-        kd.queue(np.zeros((1, 2)))
-        kd.next_target()
-        with pytest.raises(IndexError):
-            kd.next_target()
+            next(kd.nearest_each(np.zeros((3, 3))))
+        rows = kd.nearest_each(np.zeros((1, 2)))
+        next(rows)
+        with pytest.raises(StopIteration):
+            next(rows)
 
     @staticmethod
     def check_rrt_draws(monkeypatch, oracle, start, goal, p):
         seen = []
         plain = KdTree.nearest
 
-        def recording(self, q):
+        def recording(self, q, row=None):
             seen.append(np.array(q))
-            return plain(self, q)
+            return plain(self, q, row)
 
         monkeypatch.setattr(KdTree, "nearest", recording)
         rrt_plan(start, goal, oracle, p, np.random.default_rng(6))
@@ -198,14 +213,16 @@ class TestKdTreeQueue:
         assert sum(c > 0 for c in carried) >= 4
 
     def test_rrt_connect_consumes_the_per_iteration_draw_sequence(self, monkeypatch):
+        # each row's query: the targets in the order the iterations use them
         seen = []
-        plain = KdTree.next_target
+        plain = KdTree.nearest
 
-        def recording(self):
-            seen.append(np.array(plain(self)))
-            return seen[-1]
+        def recording(self, q, row=None):
+            if row is not None:
+                seen.append(np.array(q))
+            return plain(self, q, row)
 
-        monkeypatch.setattr(KdTree, "next_target", recording)
+        monkeypatch.setattr(KdTree, "nearest", recording)
         oracle = wall_oracle(budget=3000)
         p = BaselineParams(step=0.01)
         rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,

@@ -15,6 +15,8 @@ NO_FREE_SPACE = {"name": "tiny", "lower": [0, 0], "upper": [1, 1], "obstacles": 
 NO_FREE_SPACE_ERROR = "error: no free sample found in 100000 attempts\n"
 # a scene file, which carries geometry but no endpoints
 FIXTURE_FILE = str(Path(bench.__file__).parent / "data" / "empty_2d.json")
+# valid JSON nested deeper than the parser's recursion allows
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 class TestPlanCommand:
@@ -73,6 +75,7 @@ class TestPlanCommand:
         ("[1, 2]", "JSON object"),
         ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": [5]}',
          "obstacles[0]"),
+        pytest.param(DEEP, "scene.json: JSON nested too deeply", id="deeply-nested"),
     ])
     def test_bad_scene_file_is_a_one_line_error(self, tmp_path, capsys, text, needle):
         scene = tmp_path / "scene.json"
@@ -203,10 +206,13 @@ class TestPlanCommand:
         ({"seed": 3}, "'seed'"),
         # the sample budget is --max-samples alone
         ({"max_total_samples": 5}, "'max_total_samples'"),
+        # a string is the file's text
+        pytest.param(DEEP, "params.json: JSON nested too deeply", id="deeply-nested"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(params), encoding="utf-8")
+        path.write_text(params if isinstance(params, str) else json.dumps(params),
+                        encoding="utf-8")
         rc = main(["plan", "--scene", "empty_2d", "--params", str(path)])
         err = capsys.readouterr().err
         assert rc == 2
@@ -275,12 +281,14 @@ class TestBenchCommand:
         ({"scenes": [FIXTURE_FILE]}, '"endpoints"'),
         ({"planners": ["rrt", "sprint", "rrt"]}, "'planners' lists 'rrt' more than once"),
         ({"scenes": ["empty_2d", "empty_2d"]}, "'scenes' lists 'empty_2d' more than once"),
+        # a string is the file's text
+        pytest.param(DEEP, "grid.json: JSON nested too deeply", id="deeply-nested"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({"scenes": ["empty_2d"], "planners": ["sprint"],
-                                   "seeds": {"start": 0, "count": 1},
-                                   "max_samples": 10_000, **change}), encoding="utf-8")
+        cfg.write_text(change if isinstance(change, str) else json.dumps(
+            {"scenes": ["empty_2d"], "planners": ["sprint"], "seeds": {"start": 0, "count": 1},
+             "max_samples": 10_000, **change}), encoding="utf-8")
         out = tmp_path / "o"
         rc = main(["bench", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err

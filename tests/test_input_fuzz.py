@@ -1,8 +1,8 @@
 """Fuzzing of the outside input the library reads: scene JSON objects, grid
-config files, params files, CLI points, CLI numbers and `sprint plan`'s
-scene, planner, ablation and endpoint strings.  Each loader either returns or
-raises ValueError (the CLI turns that into a one-line error); any other
-exception would reach the user as a traceback.  derandomize=True makes the
+config files, params objects and files, CLI points, CLI numbers and `sprint
+plan`'s scene, planner, ablation and endpoint strings.  Each loader either
+returns or raises ValueError (the CLI turns that into a one-line error); any
+other exception would reach the user as a traceback.  derandomize=True makes the
 examples a fixed function of the test, so a run is repeatable."""
 
 import contextlib
@@ -180,6 +180,27 @@ def test_plan_command_strings(scene, planner, ablation, start, goal):
         assert "Traceback" not in err
         # the library's own errors are a single line
         assert len(lines) == 1 or lines[-1].startswith("sprint plan: error: ")
+
+
+@settings(FUZZ, max_examples=50)
+@given(param_objects.map(json.dumps) | values.map(json.dumps) | st.text(max_size=32))
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"lam": 1e-300, "milestone_batch": 1}')
+@example('{"lam": 1e300}')
+def test_plan_command_params_file(text):
+    # whatever a params file holds, a run within a small budget prints its
+    # one status line, or the CLI prints a one-line error
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "params.json"
+        path.write_text(text, encoding="utf-8")
+        rc, out, err = _run_main(["plan", "--scene=empty_2d", f"--params={path}",
+                                  "--max-samples=300"])
+    if rc == 0:
+        assert err == ""
+        assert len(out.splitlines()) == 1 and " status=" in out
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_empty_scene_name_is_a_one_line_error():
