@@ -2,8 +2,8 @@
 config files, params objects and files, CLI points, CLI numbers and `sprint
 plan`'s scene, planner, ablation and endpoint strings.  Each loader either
 returns or raises ValueError (the CLI turns that into a one-line error); any
-other exception would reach the user as a traceback.  derandomize=True makes the
-examples a fixed function of the test, so a run is repeatable."""
+other exception would reach the user as a traceback.  derandomize=True makes
+the examples a fixed function of the test, so a run is repeatable."""
 
 import contextlib
 import io

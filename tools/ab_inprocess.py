@@ -16,7 +16,8 @@ ratio (head / base), how many trials the head was faster in, and whether the
 two sides agree on a SHA-256 over every trial's (status, total_samples,
 repr(path_length), repr(delta_useful_ratio), path bytes).  The last line
 gives the same over every cell.  Several workloads may be named, after one
---workload or each after its own; each gets its own table.  Exits 1 when any digests differ.
+--workload or each after its own; each gets its own table.  Exits 1 when any
+digests differ.
 
 `--json PATH` also writes the report as JSON: each checkout's commit (and
 whether its `src/` differs from it), the machine, the command, and per
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout timed as the reference")
     ap.add_argument("--head", type=Path, required=True, help="checkout timed against it")
     ap.add_argument("--workload", required=True, nargs="+", action="extend",
-                    choices=sorted(workloads), help="repeatable; each named workload runs once")
+                    choices=sorted(workloads), help="repeatable")
     ap.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 per cell")
     ap.add_argument("--rounds", type=int, default=3, help="runs per trial and side; the fastest counts")
     ap.add_argument("--json", type=Path, help="also write the report to this JSON file")
@@ -137,15 +138,14 @@ def main(argv=None) -> int:
 
     machine = perfbench.machine_info()
     print("machine " + " ".join(f"{k} {v}" for k, v in machine.items()))
-    names = list(dict.fromkeys(args.workload))
-    scene_names = sorted({s for w in names for s in workloads[w].scenes})
+    scene_names = sorted({s for w in args.workload for s in workloads[w].scenes})
     reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {side: Side(import_copy(getattr(args, side).resolve(), f"ab_{side}", Path(tmp)),
                             scene_names)
                  for side in SIDES}
-        for name in names:
+        for name in args.workload:
             wl = workloads[name]
             reports[name] = compare(sides, name, [(p, s) for p in wl.planners for s in wl.scenes],
                                     args.seeds, args.rounds)
