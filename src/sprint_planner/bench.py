@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import collections
 import csv
-import enum
 import itertools
 import math
 import statistics
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +25,9 @@ from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
 from .params import BaselineParams, params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
-from .world import CollisionOracle, Scene, load_scene, read_json
+from .world import CollisionOracle, Scene, is_json_point, load_scene, read_json
 
 CSV_HEADER = "planner,scene,seed,status,total_samples,path_length,wall_time_s,delta_useful_ratio"
-
-PLANNER_IDS = ("sprint", "rrt", "rrt-connect")
-
-
-class AblationMode(enum.Enum):
-    DEFAULT = "default"
-    RANDOM_PARAMS = "random-params"
-    NO_PR1 = "no-pr1"
-    NO_PR2 = "no-pr2"
-    NO_PR3 = "no-pr3"
-
 
 @dataclass
 class TrialRecord:
@@ -103,43 +90,45 @@ def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
     return useful / len(samples)
 
 
-_PERTURBED_FIELDS = ("lam", "kappa", "w1_g", "w2_g", "w1_l", "w2_l", "w3_l",
-                     "c_base", "sigma_slack", "n_scale", "eta", "eps_prog")
-
-
-def apply_ablation(params: SprintParams, mode: AblationMode,
-                   rng: np.random.Generator) -> tuple[SprintParams, SprintVariant]:
-    """Build the (params, heuristic-overrides) pair for one ablation mode.
-
-    Never mutates the input params.  RandomParams scales every continuous
-    parameter by an independent uniform factor in [0.75, 1.25]; the NoPr*
-    modes swap one heuristic for its random counterpart.  NoPr2's coin flips
-    draw from rng, so the caller hands the planner that same generator.
-    """
-    if mode is AblationMode.DEFAULT:
-        return params, SprintVariant()
-    if mode is AblationMode.RANDOM_PARAMS:
-        changes = {}
-        for name in _PERTURBED_FIELDS:
-            value = getattr(params, name)
+def _random_params(params: SprintParams, rng: np.random.Generator):
+    """Every continuous (non-int) field scaled by an independent uniform
+    factor in [0.75, 1.25], eta and eps_prog from their effective values."""
+    changes = {}
+    for f in fields(params):
+        if f.type != "int":
+            value = getattr(params, f.name)
             if value is None:
-                value = getattr(params, f"{name}_eff")
-            factor = float(rng.uniform(0.75, 1.25))
-            changes[name] = value * factor
-        return replace(params, **changes), SprintVariant()
-    if mode is AblationMode.NO_PR1:
-        return params, SprintVariant(random_region_select=True)
-    if mode is AblationMode.NO_PR2:
-        def coin_gate(node_id, tree):
-            return bool(rng.random() < 0.5)
-        return params, SprintVariant(gate_fn=coin_gate)
-    if mode is AblationMode.NO_PR3:
-        def random_edge(node_id, tree, obs, rng_):
-            d = tree.root.shape[0]
-            direction = rng_.normal(size=d)
-            return tree.points[node_id] + tree.params.lam * unit(direction)
-        return params, SprintVariant(edge_fn=random_edge)
-    raise ValueError(f"unknown ablation mode: {mode}")
+                value = getattr(params, f"{f.name}_eff")
+            changes[f.name] = value * float(rng.uniform(0.75, 1.25))
+    return replace(params, **changes), SprintVariant()
+
+
+def _coin_gate(params: SprintParams, rng: np.random.Generator):
+    """The culling gate as a fair coin drawn from the trial's generator."""
+    return params, SprintVariant(gate_fn=lambda node_id, tree: bool(rng.random() < 0.5))
+
+
+def _random_edge(node_id, tree, obs, rng):
+    return tree.points[node_id] + tree.params.lam * unit(rng.normal(size=tree.root.shape[0]))
+
+
+# planner id -> (params, trial rng) -> (params, SprintVariant), leaving the
+# given params unchanged.  What it builds may draw from that rng, which
+# run_trial also hands to the planner.
+SPRINT_VARIANTS = {
+    "sprint": lambda params, rng: (params, SprintVariant()),
+    "sprint:random-params": _random_params,
+    "sprint:no-pr1": lambda params, rng: (params, SprintVariant(random_region_select=True)),
+    "sprint:no-pr2": _coin_gate,
+    "sprint:no-pr3": lambda params, rng: (params, SprintVariant(edge_fn=_random_edge)),
+}
+
+PLANNER_IDS = (*SPRINT_VARIANTS, "rrt", "rrt-connect")
+
+
+def _check_planner(ident: str) -> None:
+    if ident not in PLANNER_IDS:
+        raise ValueError(f"unknown planner {ident!r}; known: {', '.join(PLANNER_IDS)}")
 
 
 def resolve_scene(ident: str) -> Scene:
@@ -152,23 +141,6 @@ def resolve_scene(ident: str) -> Scene:
     raise ValueError(f"unknown scene {ident!r}: not a fixture name or existing file")
 
 
-def _parse_planner(ident: str) -> tuple[str, AblationMode]:
-    """Planner spec 'sprint', 'rrt', 'rrt-connect', or 'sprint:<ablation>'."""
-    base, _, abl = ident.partition(":")
-    if base not in PLANNER_IDS:
-        raise ValueError(f"unknown planner {base!r}; known: {', '.join(PLANNER_IDS)}")
-    if abl:
-        if base != "sprint":
-            raise ValueError("ablations apply to the sprint planner only")
-        try:
-            mode = AblationMode(abl)
-        except ValueError:
-            raise ValueError(f"unknown ablation {abl!r}") from None
-    else:
-        mode = AblationMode.DEFAULT
-    return base, mode
-
-
 def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int,
               params: SprintParams, max_samples: int,
               scene_label: str | None = None,
@@ -179,15 +151,15 @@ def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int
     log and solved trials get a delta-useful ratio; without it the ratio
     column is left empty, which suits grids that only need sample counts.
     """
-    base, mode = _parse_planner(planner)
+    _check_planner(planner)
     oracle = CollisionOracle(scene, record_samples=record_samples, budget=max_samples)
     rng = np.random.default_rng(seed)
-    if base == "sprint":
-        params, variant = apply_ablation(params, mode, rng)
+    if planner in SPRINT_VARIANTS:
+        params, variant = SPRINT_VARIANTS[planner](params, rng)
         result = global_planner.plan(start, goal, oracle, params, rng, variant=variant)
     else:
         bp = BaselineParams(step=params.lam)
-        fn = baselines.rrt_plan if base == "rrt" else baselines.rrt_connect_plan
+        fn = baselines.rrt_plan if planner == "rrt" else baselines.rrt_connect_plan
         result = fn(start, goal, oracle, bp, rng)
     ratio = None
     if record_samples and result.status is PlanStatus.SOLVED:
@@ -265,12 +237,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_point(x) -> bool:
-    return (isinstance(x, list) and len(x) > 0
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max for v in x))
-
-
 def load_grid_config(path) -> dict:
     """Read and type-check a grid config.  The result has every key: seeds
     as a sequence of ints (a range for the start/count form, so a huge count
@@ -312,7 +278,7 @@ def load_grid_config(path) -> dict:
         raise ValueError('grid config "svg" must be true or false')
     endpoints = cfg.get("endpoints", {})
     if not (isinstance(endpoints, dict)
-            and all(isinstance(v, list) and len(v) == 2 and all(map(_is_point, v))
+            and all(isinstance(v, list) and len(v) == 2 and all(map(is_json_point, v))
                     for v in endpoints.values())):
         raise ValueError('grid config "endpoints" must map scene names to '
                          '[start, goal] lists of finite coordinates')
@@ -320,6 +286,8 @@ def load_grid_config(path) -> dict:
     if stray:
         raise ValueError(f'grid config "endpoints" names scene(s) {", ".join(map(repr, stray))} '
                          'not in "scenes"')
+    for planner in cfg["planners"]:
+        _check_planner(planner)
     return {"scenes": cfg["scenes"], "planners": cfg["planners"], "seeds": seeds,
             "max_samples": max_samples, "params": params_from_json(cfg.get("params", {})),
             "svg": svg, "endpoints": endpoints}
@@ -354,8 +322,6 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
         except ValueError as e:
             raise ValueError(f"scene {ident!r}: {e}") from None
         scenes[ident] = (scene, start, goal)
-    for planner in cfg["planners"]:
-        _parse_planner(planner)
 
     records = []
     for planner in cfg["planners"]:

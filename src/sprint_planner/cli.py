@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import AblationMode, PLANNER_IDS, resolve_scene, run_grid, run_trial
+from .bench import PLANNER_IDS, resolve_scene, run_grid, run_trial
 from .geometry import as_config
 from .params import SprintParams, params_from_json
 from .render import check_renderable, render_svg
@@ -31,8 +31,11 @@ def _parse_point(flag: str, text: str) -> np.ndarray:
 
 def cmd_plan(args) -> int:
     scene = resolve_scene(args.scene)
-    if args.svg:
-        check_renderable(scene)  # before the trial, not after it
+    if args.svg is not None:  # before the trial, not after it
+        check_renderable(scene)
+        svg = Path(args.svg)
+        if not args.svg or "\0" in args.svg or svg.is_dir() or not svg.parent.is_dir():
+            raise ValueError(f"--svg {args.svg!r} names no file in an existing directory")
     if (args.start is None) != (args.goal is None):
         print("error: --start and --goal must be given together", file=sys.stderr)
         return 2
@@ -44,19 +47,15 @@ def cmd_plan(args) -> int:
         print("error: --start/--goal required for non-fixture scenes", file=sys.stderr)
         return 2
     params = _load_params(args.params)
-    planner = args.planner
-    if args.ablation != "default":
-        planner = f"{planner}:{args.ablation}"
-    record, result, oracle = run_trial(planner, scene, start, goal, args.seed,
+    record, result, oracle = run_trial(args.planner, scene, start, goal, args.seed,
                                        params, args.max_samples, scene_label=args.scene)
     print(f"planner={record.planner} scene={record.scene} seed={record.seed} "
           f"status={record.status} samples={record.total_samples} "
           f"path_length={record.path_length:.6g} wall_time={record.wall_time_s:.3f}s "
           f"delta_useful_ratio={'' if record.delta_useful_ratio is None else f'{record.delta_useful_ratio:.4f}'}")
-    if args.svg:
-        svg = render_svg(scene, oracle.samples, result.trees, result.path,
-                         result.total_samples)
-        Path(args.svg).write_text(svg, encoding="utf-8")
+    if args.svg is not None:
+        svg.write_text(render_svg(scene, oracle.samples, result.trees, result.path,
+                                  result.total_samples), encoding="utf-8")
         print(f"wrote {args.svg}")
     return 0
 
@@ -79,10 +78,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("plan", help="run a single planner on one scene")
     p.add_argument("--scene", required=True,
                    help=f"fixture name ({', '.join(FIXTURE_NAMES)}) or scene JSON path")
-    p.add_argument("--planner", choices=PLANNER_IDS, default="sprint")
+    p.add_argument("--planner", choices=PLANNER_IDS, default="sprint",
+                   help="planner id; each sprint:<mode> is one of the paper's ablations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ablation", choices=[m.value for m in AblationMode],
-                   default="default")
     p.add_argument("--start", help="comma-separated start configuration")
     p.add_argument("--goal", help="comma-separated goal configuration")
     p.add_argument("--max-samples", type=int, default=200_000,

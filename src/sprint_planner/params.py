@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, fields
 
@@ -68,14 +69,15 @@ def params_from_json(obj) -> SprintParams:
     Raises ValueError for a non-object, an unknown field, or a value of the
     wrong type (int fields take integers up to sys.maxsize in magnitude,
     float fields any finite number that fits a float, eta and eps_prog also
-    null), so bad config files give a one-line error.
+    null), so bad config files give a one-line error; it shows the key and
+    value cut short by `reprlib`, so a huge one cannot flood it.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
     types = {f.name: f.type for f in fields(SprintParams)}
     for key, value in obj.items():
         if key not in types:
-            raise ValueError(f"unknown params field {key!r}; known: {', '.join(types)}")
+            raise ValueError(f"unknown params field {reprlib.repr(key)}; known: {' '.join(types)}")
         kind = types[key]
         if value is None:
             ok = kind.endswith("| None")
@@ -86,7 +88,7 @@ def params_from_json(obj) -> SprintParams:
         else:
             ok = kind != "int" and isinstance(value, float) and math.isfinite(value)
         if not ok:
-            raise ValueError(f"params field {key!r} must be {kind}, got {value!r}")
+            raise ValueError(f"params field {key!r} must be {kind}, got {reprlib.repr(value)}")
     return SprintParams(**obj)
 
 

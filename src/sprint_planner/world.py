@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Config, as_config
+from .geometry import Config
 
 
 class FreeSpaceNotFound(RuntimeError):
@@ -169,13 +170,28 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _field(data: dict, key: str, convert):
+def _is_json_number(v) -> bool:
+    """A JSON number that fits a float: no boolean, NaN or infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_json_point(x) -> bool:
+    """True for a nonempty JSON list of numbers that fit a float."""
+    return isinstance(x, list) and len(x) > 0 and all(map(_is_json_number, x))
+
+
+def _field(data: dict, key: str, ok, what: str):
+    """data[key], or a ValueError naming the field if it is missing or not ok."""
     if key not in data:
         raise ValueError(f"missing field {key!r}")
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"field {key!r}: {e}") from None
+    if not ok(data[key]):
+        raise ValueError(f"field {key!r} must be {what}")
+    return data[key]
+
+
+def _point(data: dict, key: str) -> Config:
+    return np.array(_field(data, key, is_json_point, "a nonempty list of finite numbers"),
+                    dtype=float)
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -183,9 +199,8 @@ def scene_from_dict(data: dict) -> Scene:
     ValueError that names the offending field."""
     if not isinstance(data, dict):
         raise ValueError("scene file must hold a JSON object")
-    name = _field(data, "name", str)
-    lower = _field(data, "lower", as_config)
-    upper = _field(data, "upper", as_config)
+    name = _field(data, "name", lambda v: isinstance(v, str), "a string")
+    lower, upper = _point(data, "lower"), _point(data, "upper")
     entries = data.get("obstacles", [])
     if not isinstance(entries, list):
         raise ValueError("field 'obstacles' must be a list")
@@ -196,11 +211,10 @@ def scene_from_dict(data: dict) -> Scene:
                 raise ValueError("obstacle must be a JSON object")
             kind = entry.get("type")
             if kind == "box":
-                obstacles.append(Box(_field(entry, "min", as_config),
-                                     _field(entry, "max", as_config)))
+                obstacles.append(Box(_point(entry, "min"), _point(entry, "max")))
             elif kind == "sphere":
-                obstacles.append(Sphere(_field(entry, "center", as_config),
-                                        _field(entry, "radius", float)))
+                radius = _field(entry, "radius", _is_json_number, "a finite number")
+                obstacles.append(Sphere(_point(entry, "center"), float(radius)))
             else:
                 raise ValueError(f"unknown obstacle type {kind!r}")
         except ValueError as e:

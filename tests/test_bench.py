@@ -6,9 +6,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sprint_planner.bench import (AblationMode, CSV_HEADER, apply_ablation,
-                                  delta_useful_ratio, record_row, resolve_scene,
-                                  run_grid, run_trial, write_csv)
+from sprint_planner.bench import (CSV_HEADER, SPRINT_VARIANTS, delta_useful_ratio,
+                                  record_row, resolve_scene, run_grid, run_trial,
+                                  write_csv)
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
 from sprint_planner.world import save_scene, Scene
@@ -204,14 +204,14 @@ class TestDeltaUsefulMatchesAllPairs:
 class TestAblation:
     def test_default_mode_keeps_params(self):
         p = SprintParams(lam=0.01)
-        q, variant = apply_ablation(p, AblationMode.DEFAULT, np.random.default_rng(0))
+        q, variant = SPRINT_VARIANTS["sprint"](p, np.random.default_rng(0))
         assert q is p
         assert variant.gate_fn is None and variant.edge_fn is None
         assert not variant.random_region_select
 
     def test_random_params_stays_within_quarter(self):
         p = SprintParams(lam=0.01)
-        q, _ = apply_ablation(p, AblationMode.RANDOM_PARAMS, np.random.default_rng(1))
+        q, _ = SPRINT_VARIANTS["sprint:random-params"](p, np.random.default_rng(1))
         for name in ("lam", "kappa", "c_base", "w1_g", "w2_g"):
             lo, hi = 0.75 * getattr(p, name), 1.25 * getattr(p, name)
             assert lo <= getattr(q, name) <= hi
@@ -221,37 +221,35 @@ class TestAblation:
     def test_random_params_never_mutates_input(self):
         p = SprintParams(lam=0.01)
         before = asdict(p)
-        apply_ablation(p, AblationMode.RANDOM_PARAMS, np.random.default_rng(2))
+        SPRINT_VARIANTS["sprint:random-params"](p, np.random.default_rng(2))
         assert asdict(p) == before
 
     def test_heuristic_swaps_per_mode(self):
         p = SprintParams(lam=0.01)
         rng = np.random.default_rng(0)
-        _, v1 = apply_ablation(p, AblationMode.NO_PR1, rng)
+        _, v1 = SPRINT_VARIANTS["sprint:no-pr1"](p, rng)
         assert v1.random_region_select
-        _, v2 = apply_ablation(p, AblationMode.NO_PR2, rng)
+        _, v2 = SPRINT_VARIANTS["sprint:no-pr2"](p, rng)
         assert v2.gate_fn is not None
-        _, v3 = apply_ablation(p, AblationMode.NO_PR3, rng)
+        _, v3 = SPRINT_VARIANTS["sprint:no-pr3"](p, rng)
         assert v3.edge_fn is not None
 
     def test_coin_gate_is_fair_coin(self):
-        _, v = apply_ablation(SprintParams(), AblationMode.NO_PR2,
-                              np.random.default_rng(3))
+        _, v = SPRINT_VARIANTS["sprint:no-pr2"](SprintParams(), np.random.default_rng(3))
         accepts = sum(v.gate_fn(0, None) for _ in range(4000))
         assert 1800 < accepts < 2200
 
     def test_coin_gate_draws_from_the_ablation_generator(self):
-        # run_trial hands the planner the generator apply_ablation received,
+        # run_trial hands the planner the generator its variant received,
         # so the coin flips keep their place in the trial's draw sequence
-        _, v = apply_ablation(SprintParams(), AblationMode.NO_PR2,
-                              np.random.default_rng(3))
+        _, v = SPRINT_VARIANTS["sprint:no-pr2"](SprintParams(), np.random.default_rng(3))
         twin = np.random.default_rng(3)
         assert ([v.gate_fn(0, None) for _ in range(64)]
                 == [bool(twin.random() < 0.5) for _ in range(64)])
 
     def test_random_edge_has_unit_scaled_length(self):
         p = SprintParams(lam=0.02)
-        _, v = apply_ablation(p, AblationMode.NO_PR3, np.random.default_rng(0))
+        _, v = SPRINT_VARIANTS["sprint:no-pr3"](p, np.random.default_rng(0))
         from sprint_planner.local_planner import LocalTree
         t = LocalTree(np.array([0.2, 0.2]), np.array([0.8, 0.8]), p)
         rng = np.random.default_rng(4)
@@ -299,6 +297,11 @@ class TestRunTrial:
     def test_ablation_spec_on_baseline_rejected(self):
         with pytest.raises(ValueError):
             self.trial(planner="rrt:no-pr1")
+
+    @pytest.mark.parametrize("planner", ["sprint:", "rrt:", "sprint:default"])
+    def test_alias_spelling_rejected(self, planner):
+        with pytest.raises(ValueError, match=f"unknown planner {planner!r}"):
+            self.trial(planner=planner)
 
 
 class TestCsvOutput:

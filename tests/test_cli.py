@@ -39,7 +39,7 @@ class TestPlanCommand:
         assert "planner=rrt-connect" in capsys.readouterr().out
 
     def test_ablation_run(self, capsys):
-        rc = main(["plan", "--scene", "empty_2d", "--ablation", "random-params"])
+        rc = main(["plan", "--scene", "empty_2d", "--planner", "sprint:random-params"])
         assert rc == 0
         assert "planner=sprint:random-params" in capsys.readouterr().out
 
@@ -76,6 +76,13 @@ class TestPlanCommand:
         ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": [5]}',
          "obstacles[0]"),
         pytest.param(DEEP, "scene.json: JSON nested too deeply", id="deeply-nested"),
+        # numbers are JSON numbers and a name is a JSON string
+        ('{"name": "x", "lower": ["0", false], "upper": [1, 1]}', "field 'lower'"),
+        ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": '
+         '[{"type": "sphere", "center": ["0.5", "0.5"], "radius": 0.1}]}', "field 'center'"),
+        ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": '
+         '[{"type": "sphere", "center": [0.5, 0.5], "radius": "0.1"}]}', "field 'radius'"),
+        ('{"name": ["x"], "lower": [0, 0], "upper": [1, 1]}', "field 'name'"),
     ])
     def test_bad_scene_file_is_a_one_line_error(self, tmp_path, capsys, text, needle):
         scene = tmp_path / "scene.json"
@@ -184,6 +191,23 @@ class TestPlanCommand:
         assert err == "error: SVG rendering supports 2-D scenes only, got d=10\n"
         assert not svg.exists()
 
+    @pytest.mark.parametrize("target, err", [
+        ("", "error: --svg '' names no file in an existing directory\n"),
+        (".", "error: --svg '.' names no file in an existing directory\n"),
+        ("missing/run.svg",
+         "error: --svg 'missing/run.svg' names no file in an existing directory\n"),
+    ])
+    def test_bad_svg_target_fails_before_the_trial(self, tmp_path, capsys, monkeypatch,
+                                                   target, err):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("the trial ran")
+
+        monkeypatch.setattr("sprint_planner.cli.run_trial", no_trial)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["plan", "--scene", "empty_2d", "--svg", target])
+        assert rc == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_start_without_goal_is_an_error(self, capsys):
         rc = main(["plan", "--scene", "empty_2d", "--start", "0.2,0.2"])
         assert rc == 2
@@ -208,6 +232,8 @@ class TestPlanCommand:
         ({"max_total_samples": 5}, "'max_total_samples'"),
         # a string is the file's text
         pytest.param(DEEP, "params.json: JSON nested too deeply", id="deeply-nested"),
+        # the error shows a huge value cut short
+        ({"lam": [0] * 10 ** 6}, "'lam' must be float, got [0, 0, 0, 0, 0, 0, ...]"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -218,6 +244,7 @@ class TestPlanCommand:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+        assert len(err) < 200
 
     def test_null_eta_in_params_file_means_default(self, tmp_path):
         path = tmp_path / "params.json"
@@ -308,6 +335,20 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "in collision" in capsys.readouterr().err
         assert calls == []
+
+    def test_alias_planner_stops_the_grid_before_any_trial(self, tmp_path, capsys,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"scenes": ["empty_2d"], "planners": ["rrt", "rrt:"],
+                                   "seeds": [0]}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown planner 'rrt:'; known: ") and err.count("\n") == 1
+        assert calls == []
+        assert not (out / "results.csv").exists()
 
     @staticmethod
     def no_free_space_grid(tmp_path, budget):

@@ -1,6 +1,6 @@
 """Fuzzing of the outside input the library reads: scene JSON objects, grid
 config files, params objects and files, CLI points, CLI numbers and `sprint
-plan`'s scene, planner, ablation and endpoint strings.  Each loader either
+plan`'s scene, planner, endpoint and `--svg` strings.  Each loader either
 returns or raises ValueError (the CLI turns that into a one-line error); any
 other exception would reach the user as a traceback.  derandomize=True makes
 the examples a fixed function of the test, so a run is repeatable."""
@@ -8,6 +8,7 @@ the examples a fixed function of the test, so a run is repeatable."""
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sprint_planner.bench import PLANNER_IDS, AblationMode, load_grid_config
+from sprint_planner.bench import PLANNER_IDS, load_grid_config
 from sprint_planner.cli import _parse_point, main
 from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
 from sprint_planner.params import SprintParams, params_from_json
@@ -152,22 +153,21 @@ def _run_main(argv) -> tuple[int, str, str]:
 
 @settings(FUZZ, max_examples=50)
 @given(st.sampled_from(FIXTURE_NAMES) | st.text(max_size=12),
-       # argparse rejects every other choice alike: one stands in for them
-       st.sampled_from((*PLANNER_IDS, "RRT")),
-       st.sampled_from([m.value for m in AblationMode]),
+       # argparse rejects every other id alike: these stand in for them,
+       # alias spellings of valid ids among them
+       st.sampled_from((*PLANNER_IDS, "RRT", "rrt:", "sprint:default", "rrt:no-pr1")),
        st.none() | point_texts, st.none() | point_texts)
-@example("", "sprint", "default", None, None)
-@example("empty_2d", "rrt", "no-pr1", None, None)
-@example("empty_2d", "sprint", "no-pr2", "0.1,0.1", "0.1,0.1")
-@example("single_box_2d", "rrt-connect", "default", "0.5,0.5", "0.9,0.9")
-@example("narrow_passage_6d", "sprint", "default", "0.1,0.1", "0.9,0.9")
-@example("empty_2d", "sprint", "default", "0.1,0.1", None)
-@example("-x", "-x", "-x", "-1,-1", "2,2")
-def test_plan_command_strings(scene, planner, ablation, start, goal):
+@example("", "sprint", None, None)
+@example("empty_2d", "rrt:no-pr1", None, None)
+@example("empty_2d", "sprint:no-pr2", "0.1,0.1", "0.1,0.1")
+@example("single_box_2d", "rrt-connect", "0.5,0.5", "0.9,0.9")
+@example("narrow_passage_6d", "sprint", "0.1,0.1", "0.9,0.9")
+@example("empty_2d", "sprint", "0.1,0.1", None)
+@example("-x", "-x", "-1,-1", "2,2")
+def test_plan_command_strings(scene, planner, start, goal):
     # a run prints its one status line; any rejection, argparse's included,
     # exits 2 with one error line and no traceback
-    argv = ["plan", f"--scene={scene}", f"--planner={planner}", f"--ablation={ablation}",
-            "--max-samples=2000"]
+    argv = ["plan", f"--scene={scene}", f"--planner={planner}", "--max-samples=2000"]
     argv += [f"--start={start}"] * (start is not None) + [f"--goal={goal}"] * (goal is not None)
     rc, out, err = _run_main(argv)
     if rc == 0:
@@ -180,6 +180,45 @@ def test_plan_command_strings(scene, planner, ablation, start, goal):
         assert "Traceback" not in err
         # the library's own errors are a single line
         assert len(lines) == 1 or lines[-1].startswith("sprint plan: error: ")
+
+
+# --svg targets relative to a fresh working directory that holds the
+# directory "sub" and the file "file"; none climbs out of it
+svg_names = (st.sampled_from(["", ".", "sub", "file", "missing", "x.svg", "\0"])
+             | st.text(st.characters(blacklist_characters="/", blacklist_categories=("Cs",)),
+                       max_size=8))
+svg_paths = st.lists(svg_names, min_size=1, max_size=3).map("/".join).filter(
+    lambda p: not p.startswith("/") and ".." not in p.split("/"))
+
+
+@settings(FUZZ, max_examples=50)
+@given(svg_paths)
+@example("")
+@example("sub")
+@example("sub/x.svg")
+@example("missing/x.svg")
+@example("file/x.svg")
+@example("x\0.svg")
+def test_plan_command_svg_paths(text):
+    # a run prints its status line, writes the render and says so; a bad
+    # target is one error line before the trial, so nothing reaches stdout
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            Path("sub").mkdir()
+            Path("file").write_text("", encoding="utf-8")
+            rc, out, err = _run_main(["plan", "--scene=empty_2d", f"--svg={text}",
+                                      "--max-samples=300"])
+            if rc == 0:
+                status, rest = out.split("\n", 1)
+                assert err == "" and " status=" in status and rest == f"wrote {text}\n"
+                assert Path(text).is_file()
+            else:
+                assert rc == 2 and out == ""
+                assert err.startswith("error: --svg ") and err.count("\n") == 1
+        finally:
+            os.chdir(cwd)
 
 
 @settings(FUZZ, max_examples=50)

@@ -9,7 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from sprint_planner.bench import AblationMode, apply_ablation
+from sprint_planner.bench import SPRINT_VARIANTS
 from sprint_planner.geometry import Region
 from sprint_planner.local_planner import (LocalTree, backprop_collision,
                                           collision_points, grad_g3,
@@ -136,8 +136,7 @@ def _gate_params():
     base = SprintParams()
     out = [base]
     for seed in range(3):
-        perturbed, _ = apply_ablation(base, AblationMode.RANDOM_PARAMS,
-                                      np.random.default_rng(seed))
+        perturbed, _ = SPRINT_VARIANTS["sprint:random-params"](base, np.random.default_rng(seed))
         out.append(perturbed)
     return out
 
