@@ -4,13 +4,11 @@ benchmark harness over synthetic n-dimensional configuration spaces."""
 from .geometry import Region, as_config, dist, polyline_length
 from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant, plan
 from .local_planner import LocalResult, LocalStatus, local_search
-from .params import BaselineParams
 from .world import Box, CollisionOracle, Scene, Sphere, load_scene, save_scene
 
 __all__ = [
     "Region", "as_config", "dist", "polyline_length",
     "PlanResult", "PlanStatus", "SprintParams", "SprintVariant", "plan",
     "LocalResult", "LocalStatus", "local_search",
-    "BaselineParams",
     "Box", "CollisionOracle", "Scene", "Sphere", "load_scene", "save_scene",
 ]

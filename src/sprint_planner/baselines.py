@@ -9,7 +9,6 @@ import numpy as np
 
 from .geometry import Config, dist
 from .global_planner import PlanResult, Tree, check_endpoints
-from .params import BaselineParams
 from .world import BudgetExhausted, CollisionOracle
 
 # Random targets drawn ahead per tree at once.  scipy's per-call overhead
@@ -18,16 +17,19 @@ from .world import BudgetExhausted, CollisionOracle
 # end of a trial and on each rebuild that lands mid-block.
 TARGET_BLOCK = 128
 
+GOAL_BIAS = 0.05  # RRT's chance per target of aiming at the goal
+REBUILD_EVERY = 256  # KdTree inserts between rebuilds of its scipy index
+
 
 class KdTree:
     """Incremental exact nearest-neighbor index.
 
-    Backed by a periodically rebuilt scipy kd-tree plus a brute-force buffer
-    of recent insertions, so queries stay exact while insertion stays cheap.
-    `scipy.spatial` is imported when the first KdTree is built, not with this
-    module: a process that never builds a kd-tree never pays its import, and
-    a planner that builds its trees before it starts its clock is not
-    charged for it.
+    Backed by a scipy kd-tree rebuilt every REBUILD_EVERY inserts plus a
+    brute-force buffer of the inserts since, so queries stay exact while
+    insertion stays cheap.  `scipy.spatial` is imported when the first
+    KdTree is built, not with this module: a process that never builds a
+    kd-tree never pays its import, and a planner that builds its trees
+    before it starts its clock is not charged for it.
 
     A query for row k of a target block, `nearest(block[k], row=(block, k))`,
     answers the kd-tree part of rows k.. in one batched scipy query, kept for
@@ -36,12 +38,11 @@ class KdTree:
     because the buffer grows between queries.
     """
 
-    def __init__(self, dim: int, rebuild_every: int = 256):
+    def __init__(self, dim: int):
         from scipy.spatial import cKDTree
         self._cKDTree = cKDTree
         self.dim = dim
-        self.rebuild_every = rebuild_every
-        self._pts = np.empty((rebuild_every, dim))
+        self._pts = np.empty((REBUILD_EVERY, dim))
         self._size = 0
         self._tree = None  # scipy cKDTree over the first _tree_size points
         self._tree_size = 0
@@ -61,7 +62,7 @@ class KdTree:
             self._pts = grown
         self._pts[self._size] = q
         self._size += 1
-        if self._size - self._tree_size >= self.rebuild_every:
+        if self._size - self._tree_size >= REBUILD_EVERY:
             self._tree = self._cKDTree(self._pts[: self._size].copy())
             self._tree_size = self._size
         return self._size - 1
@@ -155,8 +156,11 @@ def _rrt_targets(rng: np.random.Generator, n: int, lo: Config, hi: Config,
 
 
 def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
-             params: BaselineParams, rng: np.random.Generator) -> PlanResult:
-    """Goal-biased RRT with fixed-step extension and per-step point checks."""
+             step: float, rng: np.random.Generator) -> PlanResult:
+    """Goal-biased RRT with fixed-step extension and per-step point checks;
+    step should equal SPRINT's lam when comparing sample counts."""
+    if not step > 0:  # written so that NaN fails it
+        raise ValueError("step must be positive")
     lo, hi = oracle.scene.lower, oracle.scene.upper
     tree = _Tree(q_init)
     t0 = time.perf_counter()
@@ -166,14 +170,13 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     try:
         check_endpoints(oracle, q_init, q_goal)
         while path_pts is None:
-            targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi, q_goal,
-                                          params.goal_bias, carry)
+            targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi, q_goal, GOAL_BIAS, carry)
             for q_rand, ni in tree.kd.nearest_each(targets):
-                q_new = _steer(tree.points[ni], q_rand, params.step)
+                q_new = _steer(tree.points[ni], q_rand, step)
                 if q_new is None or not oracle.query(q_new):
                     continue
                 i = tree.add(q_new, ni)
-                if dist(q_new, q_goal) <= params.step:
+                if dist(q_new, q_goal) <= step:
                     path_pts = tree.path_to(i)
                     if not np.array_equal(path_pts[-1], q_goal):
                         path_pts.append(q_goal)
@@ -184,8 +187,10 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
 
 
 def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
-                     params: BaselineParams, rng: np.random.Generator) -> PlanResult:
+                     step: float, rng: np.random.Generator) -> PlanResult:
     """Bidirectional RRT with the greedy connect heuristic."""
+    if not step > 0:  # written so that NaN fails it
+        raise ValueError("step must be positive")
     lo, hi = oracle.scene.lower, oracle.scene.upper
     trees = (_Tree(q_init), _Tree(q_goal))
     t0 = time.perf_counter()
@@ -203,7 +208,7 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             for k in range(len(block)):
                 ta, tb = trees[k % 2], trees[1 - k % 2]
                 q_rand, ni = next(rows[k % 2])
-                q_new = _steer(ta.points[ni], q_rand, params.step)
+                q_new = _steer(ta.points[ni], q_rand, step)
                 if q_new is None and np.array_equal(ta.points[ni], q_rand):
                     ia = ni
                 elif q_new is not None and oracle.query(q_new):
@@ -215,7 +220,7 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 ib = None
                 cur = tb.kd.nearest(q_new)
                 while True:
-                    q_step = _steer(tb.points[cur], q_new, params.step)
+                    q_step = _steer(tb.points[cur], q_new, step)
                     if q_step is None:
                         ib = cur
                         break

@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines, global_planner
 from .geometry import Config, unit
 from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
-from .params import BaselineParams, params_from_json
+from .params import params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
 from .world import CollisionOracle, Scene, is_json_point, load_scene, read_json
@@ -143,26 +143,23 @@ def resolve_scene(ident: str) -> Scene:
 
 def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int,
               params: SprintParams, max_samples: int,
-              scene_label: str | None = None,
-              record_samples: bool = True) -> tuple[TrialRecord, PlanResult, CollisionOracle]:
+              scene_label: str | None = None) -> tuple[TrialRecord, PlanResult, CollisionOracle]:
     """Execute a single planning trial under a hard cap of max_samples samples.
 
-    With record_samples enabled (the default) the oracle keeps the full query
-    log and solved trials get a delta-useful ratio; without it the ratio
-    column is left empty, which suits grids that only need sample counts.
+    The oracle keeps the full query log, and a solved trial gets its
+    delta-useful ratio from it; an unsolved one leaves the ratio empty.
     """
     _check_planner(planner)
-    oracle = CollisionOracle(scene, record_samples=record_samples, budget=max_samples)
+    oracle = CollisionOracle(scene, record_samples=True, budget=max_samples)
     rng = np.random.default_rng(seed)
     if planner in SPRINT_VARIANTS:
         params, variant = SPRINT_VARIANTS[planner](params, rng)
         result = global_planner.plan(start, goal, oracle, params, rng, variant=variant)
     else:
-        bp = BaselineParams(step=params.lam)
         fn = baselines.rrt_plan if planner == "rrt" else baselines.rrt_connect_plan
-        result = fn(start, goal, oracle, bp, rng)
+        result = fn(start, goal, oracle, params.lam, rng)
     ratio = None
-    if record_samples and result.status is PlanStatus.SOLVED:
+    if result.status is PlanStatus.SOLVED:
         ratio = delta_useful_ratio(oracle.samples, result.path, 2.0 * params.lam)
     record = TrialRecord(
         planner=planner, scene=scene_label or scene.name, seed=seed,
@@ -303,10 +300,9 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
     seeds = cfg["seeds"]
     max_samples = cfg["max_samples"]
     params = cfg["params"]
-    want_svg = cfg["svg"]
 
     # validate everything before any trial runs
-    scenes = {}
+    scenes, svg_labels = {}, {}
     for ident in cfg["scenes"]:
         scene = resolve_scene(ident)
         if ident in cfg["endpoints"]:
@@ -322,6 +318,13 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
         except ValueError as e:
             raise ValueError(f"scene {ident!r}: {e}") from None
         scenes[ident] = (scene, start, goal)
+        if cfg["svg"] and scene.dim == 2:
+            # the scene's part of its SVG names: path separators replaced, so
+            # that every file lands in out_dir itself, and no two scenes alike
+            label = ident.replace("/", "_").replace("\\", "_")
+            if label in svg_labels.values():
+                raise ValueError(f"scene {ident!r}: its SVG names would repeat another scene's")
+            svg_labels[ident] = label
 
     records = []
     for planner in cfg["planners"]:
@@ -330,10 +333,10 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
                 rec, result, oracle = run_trial(planner, scene, start, goal, seed,
                                                 params, max_samples, scene_label=ident)
                 records.append(rec)
-                if want_svg and scene.dim == 2:
+                if ident in svg_labels:
                     svg = render_svg(scene, oracle.samples, result.trees,
                                      result.path, result.total_samples)
-                    name = f"{planner.replace(':', '_')}__{ident}__{seed}.svg"
+                    name = f"{planner.replace(':', '_')}__{svg_labels[ident]}__{seed}.svg"
                     (out_dir / name).write_text(svg, encoding="utf-8")
 
     write_csv(records, out_dir / "results.csv")

@@ -196,7 +196,8 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
 
     The tree holds every vertex of every local path that reached its
     milestone, each hanging off the vertex before it; global node n (the
-    selector's row n) is tree node at[n]."""
+    selector's row n) is tree node at[n].  The selector alone keeps the
+    milestones, the goal first."""
     t0 = time.perf_counter()
     if variant is None:
         variant = SprintVariant()
@@ -206,16 +207,9 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     try:
         check_endpoints(oracle, q_init, q_goal)
         at = [0]
-        milestones = [q_goal]
         selector = _PairSelector(q_init, q_goal, params)
-        selector.add_milestones(milestones)
-
-        def grow_milestones() -> None:
-            batch = add_milestones(oracle, params, rng)
-            milestones.extend(batch)
-            selector.add_milestones(batch)
-
-        grow_milestones()
+        selector.add_milestones([q_goal])
+        selector.add_milestones(add_milestones(oracle, params, rng))
 
         while path_pts is None:
             if variant.random_region_select:
@@ -223,11 +217,11 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             else:
                 pick = selector.select_best()
             if pick is None:
-                grow_milestones()
+                selector.add_milestones(add_milestones(oracle, params, rng))
                 continue
             ni, mi = pick
             selector.mark_attempted(ni, mi)
-            q_n, q_m = tree.points[at[ni]], milestones[mi]
+            q_n, q_m = tree.points[at[ni]], selector._miles[mi]
             res = local_search(q_n, q_m, oracle, params, rng,
                                gate_fn=variant.gate_fn, edge_fn=variant.edge_fn)
             if res.status is LocalStatus.REACHED:

@@ -279,8 +279,8 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
     back-propagates progress or collision information.  Terminates Reached
     when a free node lands within lam of the goal and a metered endpoint
     check of the goal passes (the short terminal edge carries no interior
-    checks), or Exhausted when the stack empties or max_local_samples run
-    out.  The oracle's BudgetExhausted passes through.
+    checks), or Exhausted when the stack empties.  The oracle's
+    BudgetExhausted passes through.
 
     gate_fn/edge_fn override valid_node and local_edge, with their
     signatures; used by the ablation harness.
@@ -299,8 +299,6 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
     stack: list[tuple[int, int]] = [(0, params.r_retry)]
     reached: int | None = None
     while stack:
-        if oracle.sample_count - start_count >= params.max_local_samples:
-            break
         node_id, retries = stack.pop()
         if not gate(node_id, tree):
             continue

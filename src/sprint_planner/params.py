@@ -1,4 +1,4 @@
-"""Planner parameter bundles."""
+"""SPRINT's parameter bundle and its JSON loader."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ class SprintParams:
     r_retry: int = 3
     k_obs: int = 10
     eps_prog: float | None = None
-    max_local_samples: int = 2000
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -45,8 +44,8 @@ class SprintParams:
             raise ValueError("kappa must lie in (0, 1)")
         if self.ascent_iters not in (1, 2):
             raise ValueError("ascent_iters must be 1 or 2")
-        for name in ("milestone_batch", "r_retry", "k_obs", "max_local_samples",
-                     "w1_g", "w2_g", "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
+        for name in ("milestone_batch", "r_retry", "k_obs", "w1_g", "w2_g",
+                     "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("eta", "eps_prog"):
@@ -90,20 +89,3 @@ def params_from_json(obj) -> SprintParams:
         if not ok:
             raise ValueError(f"params field {key!r} must be {kind}, got {reprlib.repr(value)}")
     return SprintParams(**obj)
-
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Parameters for the RRT / RRT-Connect baselines.
-
-    step should equal SPRINT's lam when comparing sample counts.
-    """
-
-    step: float = 0.05
-    goal_bias: float = 0.05
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError("goal_bias must lie in [0, 1]")

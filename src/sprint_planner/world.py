@@ -16,6 +16,8 @@ import numpy as np
 
 from .geometry import Config
 
+SAMPLE_FREE_ATTEMPTS = 100_000  # draws sample_free tries before FreeSpaceNotFound
+
 
 class FreeSpaceNotFound(RuntimeError):
     """Rejection sampling exhausted its attempt budget without a free point."""
@@ -144,15 +146,15 @@ class CollisionOracle:
                 return False
         return True
 
-    def sample_free(self, rng: np.random.Generator, max_attempts: int = 100_000) -> Config:
+    def sample_free(self, rng: np.random.Generator) -> Config:
         """Uniform draw from free space by rejection; each attempt is a query.
         `lo + span * random(d)` is `uniform(lo, hi)` bit for bit, but cheaper."""
         lo, span = self.scene.lower, self.scene.upper - self.scene.lower
-        for _ in range(max_attempts):
+        for _ in range(SAMPLE_FREE_ATTEMPTS):
             q = lo + span * rng.random(lo.shape)
             if self.query(q):
                 return q
-        raise FreeSpaceNotFound(f"no free sample found in {max_attempts} attempts")
+        raise FreeSpaceNotFound(f"no free sample found in {SAMPLE_FREE_ATTEMPTS} attempts")
 
 
 def _obstacle_to_dict(obs: Obstacle) -> dict:

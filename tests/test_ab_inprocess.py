@@ -30,8 +30,9 @@ def ab():
 
 
 class StubSide:
-    """seconds[seed] per trial, the first round 1 ms slower than the rest,
-    so only the fastest round counts; digest(cell, seed) per trial."""
+    """seconds[seed] of CPU time per trial and twice that of wall time, the
+    first round 1 ms slower than the rest, so only the fastest round counts;
+    digest(cell, seed) per trial."""
 
     def __init__(self, seconds, digest=lambda cell, seed: b"same"):
         self.seconds, self.digest = seconds, digest
@@ -41,8 +42,8 @@ class StubSide:
         key = (planner, scene_name, seed)
         first = key not in self.calls
         self.calls[key] = self.calls.get(key, 0) + 1
-        slow = 1e-3 if first else 0.0
-        return self.seconds[seed] + slow, SAMPLES, self.digest((planner, scene_name), seed)
+        cpu = self.seconds[seed] + (1e-3 if first else 0.0)
+        return cpu, 2 * cpu, SAMPLES, self.digest((planner, scene_name), seed)
 
 
 def _compare(ab, head_digest=lambda cell, seed: b"same"):
@@ -75,8 +76,12 @@ def test_one_differing_digest_fails(ab, capsys):
 
 TOP_KEYS = {"command", "base", "head", "machine", "budget", "seeds", "rounds",
             "digests_agree", "workloads"}
-CELL_KEYS = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
-             "head_wins", "n", "digests_agree"}
+CELL_KEYS = {"planner", "scene", "base_cpu_us_per_sample", "head_cpu_us_per_sample",
+             "base_wall_us_per_sample", "head_wall_us_per_sample", "ratio", "head_wins", "n",
+             "digests_agree"}
+# files written before the tool timed CPU time: one wall-time figure per side
+WALL_CELL_KEYS = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
+                  "head_wins", "n", "digests_agree"}
 OVERALL_KEYS = {"ratio", "head_wins", "n", "digests_agree"}
 
 
@@ -100,7 +105,8 @@ def bench_file_problems(data) -> list[str]:
     for name, wl in data["workloads"].items():
         if not (isinstance(wl, dict) and set(wl) == {"cells", "overall"}
                 and isinstance(wl["cells"], list) and wl["cells"]
-                and all(isinstance(c, dict) and set(c) == CELL_KEYS for c in wl["cells"])
+                and all(isinstance(c, dict) and set(c) in (CELL_KEYS, WALL_CELL_KEYS)
+                        for c in wl["cells"])
                 and isinstance(wl["overall"], dict) and set(wl["overall"]) == OVERALL_KEYS):
             problems.append(f"workload {name}: keys")
             continue
@@ -135,6 +141,9 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
     cell = data["workloads"]["sprint_highdim"]["cells"][0]
     assert (cell["planner"], cell["scene"]) == ("sprint", "narrow_passage_6d")
     assert (cell["ratio"], cell["head_wins"], cell["n"]) == (1.0, 1, 2)
+    # each side's fastest run on each clock: CPU 4 us/sample, wall 8
+    assert cell["base_cpu_us_per_sample"] == pytest.approx(4.0)
+    assert cell["base_wall_us_per_sample"] == pytest.approx(8.0)
     assert capsys.readouterr().out.splitlines()[0].startswith("machine python ")
 
 
@@ -151,6 +160,12 @@ def test_bench_file_check_finds_problems():
     cell["digests_agree"] = False
     assert bench_file_problems(data) == ["w: digests_agree True; the cells say False",
                                          "digests_agree True; the workloads say False"]
+    # a cell of the wall-time format is valid; one with neither key set is not
+    cell.clear()
+    cell.update({k: 1 for k in WALL_CELL_KEYS}, digests_agree=True)
+    assert bench_file_problems(data) == []
+    cell.pop("base_us_per_sample")
+    assert bench_file_problems(data) == ["workload w: keys"]
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

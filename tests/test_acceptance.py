@@ -18,7 +18,7 @@ import pytest
 from sprint_planner.baselines import KdTree
 from sprint_planner.bench import run_trial, write_csv, record_row
 from sprint_planner.geometry import Region, dist
-from sprint_planner.global_planner import SprintParams, _PairSelector, plan
+from sprint_planner.global_planner import PlanStatus, SprintParams, _PairSelector, plan
 from sprint_planner.local_planner import (LocalTree, grad_g2, grad_g3,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
@@ -38,14 +38,13 @@ def _report(num: int, ok: bool, detail: str) -> str:
     return line
 
 
-def _grid(name: str, planners, lam: float, record: bool = True):
+def _grid(name: str, planners, lam: float):
     scene = fixture_scene(name)
     start, goal = fixture_endpoints(name)
     params = SprintParams(lam=lam)
     out = {}
     for planner in planners:
-        out[planner] = [run_trial(planner, scene, start, goal, seed, params,
-                                  BUDGET, record_samples=record)[0]
+        out[planner] = [run_trial(planner, scene, start, goal, seed, params, BUDGET)[0]
                         for seed in SEEDS]
     return out
 
@@ -121,8 +120,12 @@ class TestCriterion2Completeness:
         t0 = time.perf_counter()
         failures = []
         for name in ("narrow_passage_2d", "vertical_bars_2d", "narrow_passage_6d"):
-            grid = _grid(name, ("sprint",), fixture_lam(name), record=False)
-            n = len(_solved(grid["sprint"]))
+            # SPRINT without a sample log, as run_trial("sprint", ...) plans
+            scene, (start, goal) = fixture_scene(name), fixture_endpoints(name)
+            params = SprintParams(lam=fixture_lam(name))
+            n = sum(plan(start, goal, CollisionOracle(scene, budget=BUDGET), params,
+                         np.random.default_rng(seed)).status is PlanStatus.SOLVED
+                    for seed in SEEDS)
             if n != len(SEEDS):
                 failures.append(f"{name}: {n}/{len(SEEDS)}")
         elapsed = time.perf_counter() - t0
@@ -180,7 +183,7 @@ class TestCriterion6Ablations:
         lam = 0.02
         modes = ("sprint", "sprint:no-pr1", "sprint:no-pr2", "sprint:no-pr3",
                  "sprint:random-params")
-        grid = _grid("narrow_passage_2d", modes, lam, record=False)
+        grid = _grid("narrow_passage_2d", modes, lam)
         elapsed = time.perf_counter() - t0
 
         default_rate = len(_solved(grid["sprint"])) / len(SEEDS)

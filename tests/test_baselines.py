@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from sprint_planner import baselines
 from sprint_planner.baselines import KdTree, _rrt_targets, rrt_connect_plan, rrt_plan
 from sprint_planner.global_planner import PlanStatus
-from sprint_planner.params import BaselineParams
 from sprint_planner.world import Box, CollisionOracle, Scene
 
 
@@ -18,6 +18,12 @@ def wall_oracle(budget=200_000):
     return CollisionOracle(scene, budget=budget)
 
 
+@pytest.fixture
+def rebuild_every_16(monkeypatch):
+    # small trees reach a scipy rebuild, and queries cross it, early
+    monkeypatch.setattr(baselines, "REBUILD_EVERY", 16)
+
+
 class TestKdTree:
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -29,10 +35,10 @@ class TestKdTree:
             expect = int(np.argmin(np.sum((pts - q) ** 2, axis=1)))
             assert kd.nearest(q) == expect
 
-    def test_exact_across_rebuild_boundary(self):
+    def test_exact_across_rebuild_boundary(self, rebuild_every_16):
         # queries must see both the indexed block and the recent buffer
         rng = np.random.default_rng(1)
-        kd = KdTree(2, rebuild_every=16)
+        kd = KdTree(2)
         pts = []
         for i in range(50):
             p = rng.uniform(0, 1, 2)
@@ -68,11 +74,11 @@ class TestKdTreeQueue:
     """Queries for the rows of a block of targets drawn ahead, batched by
     nearest_each."""
 
-    def test_queued_answers_match_direct_query_and_scan(self):
+    def test_queued_answers_match_direct_query_and_scan(self, rebuild_every_16):
         # random block lengths and ~0.7 inserts per query put rebuilds
         # (every 16 inserts) anywhere in a block
         rng = np.random.default_rng(2)
-        batched, direct = KdTree(3, rebuild_every=16), KdTree(3, rebuild_every=16)
+        batched, direct = KdTree(3), KdTree(3)
         pts = [rng.uniform(0, 1, 3)]
         batched.insert(pts[0])
         direct.insert(pts[0])
@@ -87,8 +93,8 @@ class TestKdTreeQueue:
                     direct.insert(p)
         assert len(pts) > 100
 
-    def test_rebuild_mid_block_reanswers_remaining_targets(self):
-        kd = KdTree(2, rebuild_every=16)
+    def test_rebuild_mid_block_reanswers_remaining_targets(self, rebuild_every_16):
+        kd = KdTree(2)
         pts = [np.array([0.9 + 0.005 * i, 0.9]) for i in range(16)]
         for p in pts:
             kd.insert(p)  # the 16th insert builds the scipy index
@@ -108,9 +114,9 @@ class TestKdTreeQueue:
         for q, got in rest:
             assert got == scan(pts, q) and got >= 16
 
-    def test_unqueued_queries_interleave_with_queued_ones(self):
+    def test_unqueued_queries_interleave_with_queued_ones(self, rebuild_every_16):
         rng = np.random.default_rng(4)
-        kd = KdTree(2, rebuild_every=16)
+        kd = KdTree(2)
         pts = [rng.uniform(0, 1, 2) for _ in range(40)]
         for p in pts:
             kd.insert(p)
@@ -126,7 +132,7 @@ class TestKdTreeQueue:
         # between two rows, a plain query answers its own point, not the
         # next row's, and leaves the rows' batched answers as they were;
         # every point is in the scipy index
-        kd = KdTree(2, rebuild_every=16)
+        kd = KdTree(2)
         pts = [np.array([i / 16, 0.0]) for i in range(15)] + [np.array([0.5, 1.0])]
         for p in pts:
             kd.insert(p)
@@ -136,11 +142,11 @@ class TestKdTreeQueue:
         assert kd.nearest(other) == scan(pts, other) == 15
         assert [got for _, got in rows] == [14, 0]
 
-    def test_repeated_target_in_a_block(self):
+    def test_repeated_target_in_a_block(self, rebuild_every_16):
         # goal bias puts the same goal configuration in a block several times
         rng = np.random.default_rng(5)
         goal = np.array([0.5, 0.5])
-        kd = KdTree(2, rebuild_every=16)
+        kd = KdTree(2)
         pts = [rng.uniform(0, 1, 2) for _ in range(20)]
         for p in pts:
             kd.insert(p)
@@ -166,7 +172,8 @@ class TestKdTreeQueue:
             next(rows)
 
     @staticmethod
-    def check_rrt_draws(monkeypatch, oracle, start, goal, p):
+    def check_rrt_draws(monkeypatch, oracle, start, goal, step, goal_bias):
+        monkeypatch.setattr(baselines, "GOAL_BIAS", goal_bias)
         seen = []
         plain = KdTree.nearest
 
@@ -175,26 +182,24 @@ class TestKdTreeQueue:
             return plain(self, q, row)
 
         monkeypatch.setattr(KdTree, "nearest", recording)
-        rrt_plan(start, goal, oracle, p, np.random.default_rng(6))
+        rrt_plan(start, goal, oracle, step, np.random.default_rng(6))
         # the targets RRT drew one per iteration before they were drawn ahead
         rng = np.random.default_rng(6)
         lo, hi = oracle.scene.lower, oracle.scene.upper
-        expect = [goal if rng.random() < p.goal_bias else rng.uniform(lo, hi)
+        expect = [goal if rng.random() < goal_bias else rng.uniform(lo, hi)
                   for _ in seen]
         assert len(seen) > 300
         np.testing.assert_array_equal(np.array(seen), np.array(expect))
 
     @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
     def test_rrt_consumes_the_per_iteration_draw_sequence(self, monkeypatch, goal_bias):
-        p = BaselineParams(step=0.01, goal_bias=goal_bias)
         self.check_rrt_draws(monkeypatch, wall_oracle(budget=1500), np.array([0.1, 0.5]),
-                             np.array([0.9, 0.5]), p)
+                             np.array([0.9, 0.5]), 0.01, goal_bias)
 
     @pytest.mark.parametrize("goal_bias", [0.0, 0.05, 1.0])
     def test_rrt_draw_sequence_in_10d(self, monkeypatch, goal_bias):
-        p = BaselineParams(step=0.005, goal_bias=goal_bias)
         self.check_rrt_draws(monkeypatch, empty_oracle(10, budget=1500), np.full(10, 0.1),
-                             np.full(10, 0.9), p)
+                             np.full(10, 0.9), 0.005, goal_bias)
 
     @pytest.mark.parametrize("d", [2, 10])
     def test_rrt_target_blocks_carry_unused_doubles(self, d):
@@ -224,8 +229,7 @@ class TestKdTreeQueue:
 
         monkeypatch.setattr(KdTree, "nearest", recording)
         oracle = wall_oracle(budget=3000)
-        p = BaselineParams(step=0.01)
-        rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
+        rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, 0.01,
                          np.random.default_rng(7))
         rng = np.random.default_rng(7)
         lo, hi = oracle.scene.lower, oracle.scene.upper
@@ -245,43 +249,50 @@ def path_checks(res, start, goal, step):
 def test_equal_endpoints_rejected(planner):
     q = np.array([0.1, 0.1])
     with pytest.raises(ValueError, match="q_init equals q_goal"):
-        planner(q, q.copy(), empty_oracle(), BaselineParams(), np.random.default_rng(0))
+        planner(q, q.copy(), empty_oracle(), 0.05, np.random.default_rng(0))
+
+
+def test_step_must_be_positive():
+    for planner in (rrt_plan, rrt_connect_plan):
+        for step in (0.0, -1.0, float("nan")):
+            oracle = empty_oracle()
+            with pytest.raises(ValueError, match="step must be positive"):
+                planner(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle, step,
+                        np.random.default_rng(0))
+            assert oracle.sample_count == 0
 
 
 class TestRrt:
     def test_solves_empty_scene(self):
-        p = BaselineParams(step=0.05)
+        step = 0.05
         res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), empty_oracle(budget=10_000),
-                       p, np.random.default_rng(0))
+                       step, np.random.default_rng(0))
         assert res.status is PlanStatus.SOLVED
-        path_checks(res, [0.1, 0.1], [0.9, 0.9], p.step)
+        path_checks(res, [0.1, 0.1], [0.9, 0.9], step)
 
     def test_solves_wall_scene(self):
-        p = BaselineParams(step=0.05)
+        step = 0.05
         res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=50_000),
-                       p, np.random.default_rng(1))
+                       step, np.random.default_rng(1))
         assert res.status is PlanStatus.SOLVED
-        path_checks(res, [0.1, 0.5], [0.9, 0.5], p.step)
+        path_checks(res, [0.1, 0.5], [0.9, 0.5], step)
 
     def test_budget_exhaustion(self):
-        p = BaselineParams(step=0.01)
         res = rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=30),
-                       p, np.random.default_rng(0))
+                       0.01, np.random.default_rng(0))
         assert res.status is PlanStatus.BUDGET_EXHAUSTED
         assert res.path is None
         assert res.total_samples == 30
 
     def test_sample_accounting(self):
         oracle = empty_oracle(budget=10_000)
-        res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle,
-                       BaselineParams(step=0.05),
+        res = rrt_plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle, 0.05,
                        np.random.default_rng(0))
         assert res.total_samples == oracle.sample_count
 
     def test_deterministic_per_seed(self):
-        p = BaselineParams(step=0.05)
         runs = [rrt_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), wall_oracle(budget=50_000),
-                         p, np.random.default_rng(5)) for _ in range(2)]
+                         0.05, np.random.default_rng(5)) for _ in range(2)]
         assert runs[0].total_samples == runs[1].total_samples
         np.testing.assert_array_equal(runs[0].path, runs[1].path)
 
@@ -289,47 +300,44 @@ class TestRrt:
         oracle = wall_oracle()
         with pytest.raises(ValueError):
             rrt_plan(np.array([0.5, 0.5]), np.array([0.9, 0.5]), oracle,
-                     BaselineParams(), np.random.default_rng(0))
+                     0.05, np.random.default_rng(0))
 
 
 class TestRrtConnect:
     def test_solves_empty_scene_quickly(self):
-        p = BaselineParams(step=0.05)
+        step = 0.05
         start, goal = np.array([0.1, 0.1]), np.array([0.9, 0.9])
-        res = rrt_connect_plan(start, goal, empty_oracle(budget=10_000), p,
+        res = rrt_connect_plan(start, goal, empty_oracle(budget=10_000), step,
                                np.random.default_rng(0))
         assert res.status is PlanStatus.SOLVED
-        path_checks(res, start, goal, p.step)
+        path_checks(res, start, goal, step)
         # the first connect sweep already bridges an obstacle-free scene
-        assert res.total_samples <= int(np.ceil(np.linalg.norm(goal - start) / p.step)) + 3
+        assert res.total_samples <= int(np.ceil(np.linalg.norm(goal - start) / step)) + 3
 
     def test_solves_wall_scene(self):
-        p = BaselineParams(step=0.05)
+        step = 0.05
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                               wall_oracle(budget=50_000), p, np.random.default_rng(2))
+                               wall_oracle(budget=50_000), step, np.random.default_rng(2))
         assert res.status is PlanStatus.SOLVED
-        path_checks(res, [0.1, 0.5], [0.9, 0.5], p.step)
+        path_checks(res, [0.1, 0.5], [0.9, 0.5], step)
 
     def test_path_avoids_obstacle(self):
-        p = BaselineParams(step=0.02)
         oracle = wall_oracle(budget=50_000)
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                               oracle, p, np.random.default_rng(3))
+                               oracle, 0.02, np.random.default_rng(3))
         checker = CollisionOracle(oracle.scene)
         for q in res.path:
             assert checker.is_free(q)
 
     def test_budget_exhaustion(self):
-        p = BaselineParams(step=0.01)
         res = rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                               wall_oracle(budget=25), p, np.random.default_rng(0))
+                               wall_oracle(budget=25), 0.01, np.random.default_rng(0))
         assert res.status is PlanStatus.BUDGET_EXHAUSTED
         assert res.total_samples == 25
 
     def test_deterministic_per_seed(self):
-        p = BaselineParams(step=0.05)
         runs = [rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]),
-                                 wall_oracle(budget=50_000), p, np.random.default_rng(8))
+                                 wall_oracle(budget=50_000), 0.05, np.random.default_rng(8))
                 for _ in range(2)]
         assert runs[0].total_samples == runs[1].total_samples
         np.testing.assert_array_equal(runs[0].path, runs[1].path)

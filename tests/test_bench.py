@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from sprint_planner import bench
 from sprint_planner.bench import (CSV_HEADER, SPRINT_VARIANTS, delta_useful_ratio,
                                   record_row, resolve_scene, run_grid, run_trial,
                                   write_csv)
@@ -259,11 +260,11 @@ class TestAblation:
 
 
 class TestRunTrial:
-    def trial(self, planner="sprint", seed=0, record=True):
+    def trial(self, planner="sprint", seed=0, max_samples=10_000):
         scene = fixture_scene("empty_2d")
         start, goal = fixture_endpoints("empty_2d")
         return run_trial(planner, scene, start, goal, seed,
-                         SprintParams(lam=0.05), 10_000, record_samples=record)
+                         SprintParams(lam=0.05), max_samples)
 
     def test_solved_trial_has_ratio(self):
         record, result, oracle = self.trial()
@@ -271,10 +272,12 @@ class TestRunTrial:
         assert 0.0 < record.delta_useful_ratio <= 1.0
         assert record.total_samples == oracle.sample_count
 
-    def test_ratio_skipped_without_recording(self):
-        record, _, oracle = self.trial(record=False)
+    def test_unsolved_trial_has_no_ratio(self):
+        # every trial keeps its sample log; only a solved one gets a ratio
+        record, _, oracle = self.trial(max_samples=30)
+        assert record.status == "BudgetExhausted"
         assert record.delta_useful_ratio is None
-        assert oracle.samples == []
+        assert len(oracle.samples) == oracle.sample_count == 30
 
     def test_rows_identical_per_seed_up_to_wall_time(self):
         rows = []
@@ -370,6 +373,30 @@ class TestRunGrid:
         cfg = self.config(tmp_path, planners=["sprint", "dijkstra"])
         with pytest.raises(ValueError):
             run_grid(cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def scene_file(self, tmp_path, ident):
+        (tmp_path / ident).parent.mkdir(exist_ok=True)
+        save_scene(Scene(name="box", lower=np.zeros(2), upper=np.ones(2)), tmp_path / ident)
+        return {ident: [[0.1, 0.1], [0.9, 0.9]]}
+
+    def test_svg_of_a_scene_in_a_subdirectory_lands_in_out(self, tmp_path, monkeypatch):
+        # the SVG name holds the scene's label with its path separator replaced
+        monkeypatch.chdir(tmp_path)
+        cfg = self.config(tmp_path, scenes=["sub/box.json"], planners=["rrt"], seeds=[0],
+                          svg=True, endpoints=self.scene_file(tmp_path, "sub/box.json"))
+        run_grid(cfg, "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "results.csv", "rrt__sub_box.json__0.svg"]
+
+    def test_scenes_with_the_same_svg_names_fail_before_any_trial(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        endpoints = self.scene_file(tmp_path, "sub/box.json")
+        endpoints.update(self.scene_file(tmp_path, "sub_box.json"))
+        cfg = self.config(tmp_path, scenes=list(endpoints), svg=True, endpoints=endpoints)
+        monkeypatch.setattr(bench, "run_trial", None)
+        with pytest.raises(ValueError, match="'sub_box.json': its SVG names would repeat"):
+            run_grid(cfg, "out")
         assert not (tmp_path / "out" / "results.csv").exists()
 
 

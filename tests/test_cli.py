@@ -234,6 +234,8 @@ class TestPlanCommand:
         pytest.param(DEEP, "params.json: JSON nested too deeply", id="deeply-nested"),
         # the error shows a huge value cut short
         ({"lam": [0] * 10 ** 6}, "'lam' must be float, got [0, 0, 0, 0, 0, 0, ...]"),
+        # the culling gate and the budget end every local search
+        ({"max_local_samples": 2000}, "unknown params field 'max_local_samples'"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -310,6 +312,7 @@ class TestBenchCommand:
         ({"scenes": ["empty_2d", "empty_2d"]}, "'scenes' lists 'empty_2d' more than once"),
         # a string is the file's text
         pytest.param(DEEP, "grid.json: JSON nested too deeply", id="deeply-nested"),
+        ({"params": {"max_local_samples": 2000}}, "unknown params field 'max_local_samples'"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"

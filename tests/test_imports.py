@@ -83,33 +83,42 @@ def test_finds_module_level_imports():
 
 
 # a fresh interpreter imports every library module, runs a SPRINT trial
-# without its sample log (so no delta-useful ratio), then the same RRT trial
-# (kd-trees and a ratio) twice, noting after each step whether scipy is loaded
-# and each trial's wall time
+# through global_planner.plan (no sample log, so no delta-useful ratio), then
+# the same RRT trial (kd-trees and a ratio) twice, noting after each step
+# whether scipy is loaded and each trial's wall time
 _LAZY_SCIPY = """
 import hashlib, importlib, json, pkgutil, sys
+import numpy as np
 import sprint_planner
 from sprint_planner.bench import run_trial
+from sprint_planner.global_planner import plan
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
+from sprint_planner.world import CollisionOracle
 
 def scipy_loaded():
     return any(m.partition(".")[0] == "scipy" for m in sys.modules)
 
-def trial(planner, name, seed, record_samples):
-    rec, res, _ = run_trial(planner, fixture_scene(name), *fixture_endpoints(name), seed,
-                            SprintParams(lam=fixture_lam(name)), 50_000,
-                            record_samples=record_samples)
-    return [rec.wall_time_s, rec.status, rec.total_samples,
-            hashlib.sha256(res.path.tobytes()).hexdigest()[:16], repr(rec.delta_useful_ratio),
-            scipy_loaded()]
+def digest(path):
+    return hashlib.sha256(path.tobytes()).hexdigest()[:16]
+
+def sprint(name, seed):
+    res = plan(*fixture_endpoints(name), CollisionOracle(fixture_scene(name), budget=50_000),
+               SprintParams(lam=fixture_lam(name)), np.random.default_rng(seed))
+    return [res.status.value, res.total_samples, digest(res.path), scipy_loaded()]
+
+def rrt(name, seed):
+    rec, res, _ = run_trial("rrt", fixture_scene(name), *fixture_endpoints(name), seed,
+                            SprintParams(lam=fixture_lam(name)), 50_000)
+    return [rec.wall_time_s, rec.status, rec.total_samples, digest(res.path),
+            repr(rec.delta_useful_ratio), scipy_loaded()]
 
 for m in pkgutil.iter_modules(sprint_planner.__path__):
     importlib.import_module("sprint_planner." + m.name)
 print(json.dumps({"imported": scipy_loaded(),
-                  "sprint": trial("sprint", "narrow_passage_6d", 4, False),
-                  "rrt": trial("rrt", "narrow_passage_2d", 0, True),
-                  "rrt_again": trial("rrt", "narrow_passage_2d", 0, True),
+                  "sprint": sprint("narrow_passage_6d", 4),
+                  "rrt": rrt("narrow_passage_2d", 0),
+                  "rrt_again": rrt("narrow_passage_2d", 0),
                   "spatial": "scipy.spatial" in sys.modules}))
 """
 
@@ -121,8 +130,8 @@ def test_scipy_loads_at_first_kd_tree_use():
                          text=True, timeout=120, check=True)
     got = json.loads(out.stdout)
     assert got["imported"] is False
-    assert got["sprint"][1:] == [*PINNED["narrow_passage_6d"][4],
-                                 PINNED_SPRINT_PATHS["narrow_passage_6d"][4], "None", False]
+    assert got["sprint"] == [*PINNED["narrow_passage_6d"][4],
+                             PINNED_SPRINT_PATHS["narrow_passage_6d"][4], False]
     first, *rrt = got["rrt"]
     second, *again = got["rrt_again"]
     assert rrt == again == [*PINNED_BASELINES["rrt", "narrow_passage_2d"][0],

@@ -342,14 +342,6 @@ class TestLocalSearch:
                          np.random.default_rng(0))
         assert oracle.sample_count == len(oracle.samples) == 3
 
-    def test_local_sample_cap(self):
-        p = params(max_local_samples=3)
-        oracle = empty_oracle()
-        res = local_search(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, p,
-                           np.random.default_rng(0))
-        assert res.status is LocalStatus.EXHAUSTED
-        assert res.samples_used == oracle.sample_count == 3
-
     def test_samples_match_oracle_meter(self):
         p = params()
         oracle = empty_oracle()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sprint_planner.params import BaselineParams, SprintParams
+from sprint_planner.params import SprintParams
 
 
 class TestSprintParams:
@@ -13,7 +13,6 @@ class TestSprintParams:
         assert p.milestone_batch == 50
         assert p.r_retry == 3
         assert p.k_obs == 10
-        assert p.max_local_samples == 2000
         assert p.ascent_iters == 2
 
     def test_derived_step_size(self):
@@ -42,7 +41,7 @@ class TestSprintParams:
         {"r_retry": 0},
         {"k_obs": -1},
         {"c_base": 0.0},
-        {"max_local_samples": 0},
+        {"n_scale": 0.0},
         {"ascent_iters": 3},
         {"lam": math.nan},
         {"kappa": math.nan},
@@ -59,19 +58,3 @@ class TestSprintParams:
         with pytest.raises(ValueError):
             SprintParams(**kwargs)
 
-
-class TestBaselineParams:
-    def test_defaults(self):
-        p = BaselineParams()
-        assert p.goal_bias == 0.05
-
-    def test_step_positive(self):
-        for step in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                BaselineParams(step=step)
-
-    def test_goal_bias_range(self):
-        with pytest.raises(ValueError):
-            BaselineParams(goal_bias=1.5)
-        with pytest.raises(ValueError):
-            BaselineParams(goal_bias=math.nan)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sprint_planner import world
 from sprint_planner.bench import run_trial
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import (FIXTURE_NAMES, fixture_endpoints, fixture_lam,
@@ -108,10 +109,11 @@ class TestOracle:
         assert calls == []
         assert o.sample_count == len(o.samples) == 3
 
-    def test_sample_free_stops_at_the_budget(self):
+    def test_sample_free_stops_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(world, "SAMPLE_FREE_ATTEMPTS", 50)
         o = CollisionOracle(unit_square([Box(np.zeros(2), np.ones(2))]), budget=10)
         with pytest.raises(BudgetExhausted):
-            o.sample_free(np.random.default_rng(0), max_attempts=50)
+            o.sample_free(np.random.default_rng(0))
         assert o.sample_count == 10
 
     def test_rejection_attempts_are_metered(self):
@@ -128,11 +130,12 @@ class TestOracle:
         b = CollisionOracle(scene).sample_free(np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
-    def test_sample_free_gives_up(self):
+    def test_sample_free_gives_up(self, monkeypatch):
         # oracle cannot find free space when obstacles cover the whole world
+        monkeypatch.setattr(world, "SAMPLE_FREE_ATTEMPTS", 50)
         o = CollisionOracle(unit_square([Box(np.zeros(2), np.ones(2))]))
-        with pytest.raises(FreeSpaceNotFound):
-            o.sample_free(np.random.default_rng(0), max_attempts=50)
+        with pytest.raises(FreeSpaceNotFound, match="in 50 attempts"):
+            o.sample_free(np.random.default_rng(0))
         assert o.sample_count == 50
 
     def test_sample_log_only_when_enabled(self):

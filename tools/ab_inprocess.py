@@ -7,24 +7,29 @@ Copies each checkout's `src/sprint_planner` into a temporary directory under
 the package names `ab_base` and `ab_head`, imports both into one interpreter,
 and runs every (cell, seed) trial of a benchmark workload (the cells of
 `perfbench/run.py`'s WORKLOADS, budget 50k) on both sides in alternating
-order, keeping each side's fastest of --rounds runs.  Timing both sides in
-one process, trial by trial, cancels most of the host's drift between runs
-minutes apart.
+order.  Timing both sides in one process, trial by trial, cancels most of
+the host's drift between runs minutes apart.  Each trial runs after a full
+garbage collection with the collector off, and is timed by the process's
+CPU time (`time.process_time`) and by wall time, keeping each side's fastest
+of --rounds runs on each clock.  The ratio and the win count use CPU time,
+which other processes on the host disturb less than wall time.
 
-Per cell it prints each side's geometric mean of µs per oracle sample, their
-ratio (head / base), how many trials the head was faster in, and whether the
-two sides agree on a SHA-256 over every trial's (status, total_samples,
-repr(path_length), repr(delta_useful_ratio), path bytes).  The last line
-gives the same over every cell.  Several workloads may be named, after one
---workload or each after its own; each gets its own table.  Exits 1 when any
-digests differ.
+Per cell it prints each side's geometric mean of CPU µs per oracle sample,
+their ratio (head / base), how many trials the head took less CPU time in,
+and whether the two sides agree on a SHA-256 over every trial's (status,
+total_samples, repr(path_length), repr(delta_useful_ratio), path bytes).
+The last line gives the same over every cell.  Several workloads may be
+named, after one --workload or each after its own; each gets its own table.
+Exits 1 when any digests differ.
 
 `--json PATH` also writes the report as JSON: each checkout's commit (and
 whether its `src/` differs from it), the machine, the command, and per
-workload and cell each side's geometric mean, the ratio, the head's wins, n
-and digest agreement.  Committed as `BENCH_*.json`, such a file is a perf
-change's before-and-after evidence; `tests/test_ab_inprocess.py` checks
-every committed one.
+workload and cell each side's geometric means of CPU and of wall µs per
+sample, the CPU ratio, the head's wins, n and digest agreement.  Committed
+as `BENCH_*.json`, such a file is a perf change's before-and-after
+evidence; `tests/test_ab_inprocess.py` checks every committed one.  Files
+written before the tool timed CPU time hold one wall-time
+`{base,head}_us_per_sample` per cell instead, and their ratio is wall time.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -91,18 +97,24 @@ class Side:
             self.inputs[name] = (world.scene_from_dict(data), start, goal,
                                  params.SprintParams(lam=scenes.fixture_lam(name)))
 
-    def trial(self, planner: str, scene_name: str, seed: int) -> tuple[float, int, bytes]:
-        """(seconds, total_samples, outcome digest) of one timed trial."""
+    def trial(self, planner: str, scene_name: str, seed: int) -> tuple[float, float, int, bytes]:
+        """(CPU seconds, wall seconds, total_samples, outcome digest) of one
+        timed trial, run with the garbage collector off."""
         scene, start, goal, params = self.inputs[scene_name]
-        t0 = time.perf_counter()
-        rec, res, _ = self.bench.run_trial(planner, scene, start, goal, seed, params, BUDGET,
-                                           scene_label=scene_name)
-        elapsed = time.perf_counter() - t0
+        gc.collect()
+        gc.disable()
+        try:
+            c0, t0 = time.process_time(), time.perf_counter()
+            rec, res, _ = self.bench.run_trial(planner, scene, start, goal, seed, params,
+                                               BUDGET, scene_label=scene_name)
+            cpu, wall = time.process_time() - c0, time.perf_counter() - t0
+        finally:
+            gc.enable()
         h = hashlib.sha256(repr((rec.status, rec.total_samples, rec.path_length,
                                  rec.delta_useful_ratio)).encode())
         if res.path is not None:
             h.update(res.path.tobytes())
-        return elapsed, rec.total_samples, h.digest()
+        return cpu, wall, rec.total_samples, h.digest()
 
 
 def geomean(values) -> float:
@@ -166,44 +178,44 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
             rounds: int) -> dict:
     """Time every (cell, seed) trial on both sides, print the workload's
     table and return it as the JSON report's workload entry."""
-    best = {}  # (side, cell, seed) -> [seconds, samples, digest]
+    best = {}  # (side, cell, seed) -> [CPU seconds, wall seconds, samples, digest]
     agree = True
     for r in range(rounds):
         for c, (planner, scene_name) in enumerate(cells):
             for seed in range(n_seeds):
                 order = SIDES if (r + c + seed) % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    elapsed, samples, digest = sides[side].trial(planner, scene_name, seed)
+                    cpu, wall, samples, digest = sides[side].trial(planner, scene_name, seed)
                     key = (side, c, seed)
                     if key not in best:
-                        best[key] = [elapsed, samples, digest]
+                        best[key] = [cpu, wall, samples, digest]
                     else:
-                        agree &= best[key][2] == digest
-                        best[key][0] = min(best[key][0], elapsed)
+                        agree &= best[key][3] == digest
+                        best[key][0] = min(best[key][0], cpu)
+                        best[key][1] = min(best[key][1], wall)
 
-    def us(side, c, seed):
-        seconds, samples, _ = best[side, c, seed]
-        return 1e6 * seconds / samples
+    def us(side, c, seed, clock=0):
+        return 1e6 * best[side, c, seed][clock] / best[side, c, seed][2]
 
-    print(f"workload {workload}  seeds 0-{n_seeds - 1}  best of {rounds}  budget {BUDGET}")
+    print(f"workload {workload}  seeds 0-{n_seeds - 1}  best of {rounds}  budget {BUDGET}  CPU time")
     print(f"{'cell':<32} {'base us/s':>10} {'head us/s':>10} {'head/base':>10} {'head won':>9} digests")
     all_ratios, all_wins, rows = [], 0, []
     for c, (planner, scene_name) in enumerate(cells):
         seeds = range(n_seeds)
         ratios = [us("head", c, s) / us("base", c, s) for s in seeds]
         wins = sum(best["head", c, s][0] < best["base", c, s][0] for s in seeds)
-        same = all(best["head", c, s][2] == best["base", c, s][2] for s in seeds)
+        same = all(best["head", c, s][3] == best["base", c, s][3] for s in seeds)
         agree &= same
         all_ratios += ratios
         all_wins += wins
-        row = {"planner": planner, "scene": scene_name,
-               "base_us_per_sample": geomean(us("base", c, s) for s in seeds),
-               "head_us_per_sample": geomean(us("head", c, s) for s in seeds),
-               "ratio": geomean(ratios), "head_wins": wins, "n": n_seeds,
-               "digests_agree": same}
+        row = {"planner": planner, "scene": scene_name}
+        for side in SIDES:
+            row[f"{side}_cpu_us_per_sample"] = geomean(us(side, c, s) for s in seeds)
+            row[f"{side}_wall_us_per_sample"] = geomean(us(side, c, s, 1) for s in seeds)
+        row.update(ratio=geomean(ratios), head_wins=wins, n=n_seeds, digests_agree=same)
         rows.append(row)
-        print(f"{planner + ' ' + scene_name:<32} {row['base_us_per_sample']:>10.2f} "
-              f"{row['head_us_per_sample']:>10.2f} {row['ratio']:>10.3f} "
+        print(f"{planner + ' ' + scene_name:<32} {row['base_cpu_us_per_sample']:>10.2f} "
+              f"{row['head_cpu_us_per_sample']:>10.2f} {row['ratio']:>10.3f} "
               f"{wins:>5}/{n_seeds:<3} {'same' if same else 'DIFFER'}")
     overall = {"ratio": geomean(all_ratios), "head_wins": all_wins, "n": len(all_ratios),
                "digests_agree": agree}
