@@ -13,6 +13,7 @@ import collections
 import csv
 import itertools
 import math
+import os
 import statistics
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from .geometry import Config, unit
 from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
 from .params import params_from_json
 from .render import render_svg
-from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
+from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_lam, fixture_scene
 from .world import CollisionOracle, Scene, is_json_point, load_scene, read_json
 
 CSV_HEADER = "planner,scene,seed,status,total_samples,path_length,wall_time_s,delta_useful_ratio"
@@ -118,7 +119,8 @@ def _random_edge(node_id, tree, obs, rng):
 SPRINT_VARIANTS = {
     "sprint": lambda params, rng: (params, SprintVariant()),
     "sprint:random-params": _random_params,
-    "sprint:no-pr1": lambda params, rng: (params, SprintVariant(random_region_select=True)),
+    "sprint:no-pr1": lambda params, rng: (
+        params, SprintVariant(select_fn=lambda selector: selector.select_random(rng))),
     "sprint:no-pr2": _coin_gate,
     "sprint:no-pr3": lambda params, rng: (params, SprintVariant(edge_fn=_random_edge)),
 }
@@ -139,6 +141,15 @@ def resolve_scene(ident: str) -> Scene:
     if p.is_file():
         return load_scene(p)
     raise ValueError(f"unknown scene {ident!r}: not a fixture name or existing file")
+
+
+def trial_params(ident: str, overrides) -> SprintParams:
+    """SprintParams from parsed JSON field overrides for scene ident: a
+    fixture runs at its own lam unless the overrides set one."""
+    params = params_from_json(overrides)
+    if ident in FIXTURE_NAMES and "lam" not in overrides:
+        return replace(params, lam=fixture_lam(ident))
+    return params
 
 
 def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int,
@@ -237,9 +248,9 @@ def _is_int(x) -> bool:
 def load_grid_config(path) -> dict:
     """Read and type-check a grid config.  The result has every key: seeds
     as a sequence of ints (a range for the start/count form, so a huge count
-    allocates nothing), params built into SprintParams, and the documented
-    defaults for omitted optional keys.  Any malformed field raises
-    ValueError."""
+    allocates nothing), params as the checked field overrides for
+    trial_params, and the documented defaults for omitted optional keys.
+    Any malformed field raises ValueError."""
     cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError("grid config must be a JSON object")
@@ -285,9 +296,9 @@ def load_grid_config(path) -> dict:
                          'not in "scenes"')
     for planner in cfg["planners"]:
         _check_planner(planner)
+    params_from_json(cfg.setdefault("params", {}))
     return {"scenes": cfg["scenes"], "planners": cfg["planners"], "seeds": seeds,
-            "max_samples": max_samples, "params": params_from_json(cfg.get("params", {})),
-            "svg": svg, "endpoints": endpoints}
+            "max_samples": max_samples, "params": cfg["params"], "svg": svg, "endpoints": endpoints}
 
 
 def run_grid(config_path, out_dir) -> list[TrialRecord]:
@@ -299,9 +310,14 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
 
     seeds = cfg["seeds"]
     max_samples = cfg["max_samples"]
-    params = cfg["params"]
+
+    def svg_name(planner, label, seed):
+        return f"{planner.replace(':', '_')}__{label}__{seed}.svg"
 
     # validate everything before any trial runs
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
+    longest = (max(cfg["planners"], key=len),
+               max(seeds if isinstance(seeds, list) else seeds[-1:], default=0))
     scenes, svg_labels = {}, {}
     for ident in cfg["scenes"]:
         scene = resolve_scene(ident)
@@ -317,18 +333,21 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
             global_planner.check_endpoints(CollisionOracle(scene), start, goal)
         except ValueError as e:
             raise ValueError(f"scene {ident!r}: {e}") from None
-        scenes[ident] = (scene, start, goal)
+        scenes[ident] = (scene, start, goal, trial_params(ident, cfg["params"]))
         if cfg["svg"] and scene.dim == 2:
-            # the scene's part of its SVG names: path separators replaced, so
-            # that every file lands in out_dir itself, and no two scenes alike
+            # the scene's part of its SVG names: separators replaced, so that
+            # every file lands in out_dir, no two scenes alike, none too long
             label = ident.replace("/", "_").replace("\\", "_")
             if label in svg_labels.values():
                 raise ValueError(f"scene {ident!r}: its SVG names would repeat another scene's")
+            if 0 < name_max < len(os.fsencode(svg_name(longest[0], label, longest[1]))):
+                raise ValueError(f"scene {ident!r}: its SVG names would be longer than "
+                                 f"the file system's {name_max} bytes")
             svg_labels[ident] = label
 
     records = []
     for planner in cfg["planners"]:
-        for ident, (scene, start, goal) in scenes.items():
+        for ident, (scene, start, goal, params) in scenes.items():
             for seed in seeds:
                 rec, result, oracle = run_trial(planner, scene, start, goal, seed,
                                                 params, max_samples, scene_label=ident)
@@ -336,8 +355,8 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
                 if ident in svg_labels:
                     svg = render_svg(scene, oracle.samples, result.trees,
                                      result.path, result.total_samples)
-                    name = f"{planner.replace(':', '_')}__{svg_labels[ident]}__{seed}.svg"
-                    (out_dir / name).write_text(svg, encoding="utf-8")
+                    (out_dir / svg_name(planner, svg_labels[ident], seed)).write_text(
+                        svg, encoding="utf-8")
 
     write_csv(records, out_dir / "results.csv")
     return records

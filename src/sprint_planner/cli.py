@@ -8,18 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import PLANNER_IDS, resolve_scene, run_grid, run_trial
+from .bench import PLANNER_IDS, resolve_scene, run_grid, run_trial, trial_params
 from .geometry import as_config
-from .params import SprintParams, params_from_json
 from .render import check_renderable, render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints
 from .world import FreeSpaceNotFound, read_json
-
-
-def _load_params(path: str | None) -> SprintParams:
-    if path is None:
-        return SprintParams()
-    return params_from_json(read_json(path))
 
 
 def _parse_point(flag: str, text: str) -> np.ndarray:
@@ -46,7 +39,7 @@ def cmd_plan(args) -> int:
     else:
         print("error: --start/--goal required for non-fixture scenes", file=sys.stderr)
         return 2
-    params = _load_params(args.params)
+    params = trial_params(args.scene, {} if args.params is None else read_json(args.params))
     record, result, oracle = run_trial(args.planner, scene, start, goal, args.seed,
                                        params, args.max_samples, scene_label=args.scene)
     print(f"planner={record.planner} scene={record.scene} seed={record.seed} "

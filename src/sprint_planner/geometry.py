@@ -1,5 +1,5 @@
-"""Configuration-space vector math: configurations, regions, distances,
-and the search tree every planner grows.
+"""Configuration-space vector math: configurations, distances, and the
+search tree every planner grows.
 
 A configuration is a 1-D float64 numpy array.  The functions here are pure
 and safe to call concurrently; a `Tree` is mutable and belongs to one run.
@@ -8,7 +8,6 @@ and safe to call concurrently; a `Tree` is mutable and belongs to one run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +27,6 @@ def as_config(x) -> Config:
 def _check_dims(a: Config, b: Config) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-@dataclass(frozen=True)
-class Region:
-    """A search-space region marked by two endpoint configurations."""
-
-    a: Config
-    b: Config
-
-    def __post_init__(self):
-        _check_dims(self.a, self.b)
 
 
 class Tree:

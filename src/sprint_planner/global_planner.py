@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Config, Region, Tree, dist, polyline_length
+from .geometry import Config, Tree, dist, polyline_length
 from .local_planner import LocalStatus, local_search
 from .params import SprintParams
 from .world import BudgetExhausted, CollisionOracle
@@ -59,13 +60,15 @@ def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> 
 
 @dataclass(frozen=True)
 class SprintVariant:
-    """Heuristic overrides for ablation runs; None keeps the default.
-    gate_fn(node_id, tree) stands in for local_planner.valid_node and
+    """Heuristic overrides for ablation runs, each a function with the
+    signature of the default it replaces; None keeps the default.
+    select_fn(selector) stands in for _PairSelector.select_best,
+    gate_fn(node_id, tree) for local_planner.valid_node and
     edge_fn(node_id, tree, obs, rng) for local_planner.local_edge."""
 
-    random_region_select: bool = False
-    gate_fn: object | None = None
-    edge_fn: object | None = None
+    select_fn: Callable | None = None
+    gate_fn: Callable | None = None
+    edge_fn: Callable | None = None
 
 
 class _PairSelector:
@@ -139,12 +142,12 @@ class _PairSelector:
         self._reached = np.concatenate([self._reached, np.zeros(len(miles), dtype=bool)])
         self._peak = np.concatenate([self._peak, self._region_peak(miles, self._regions)])
 
-    def add_region(self, region: Region) -> None:
-        dvec = region.b - region.a
+    def add_region(self, a: Config, b: Config) -> None:
+        dvec = b - a
         denom = float(np.dot(dvec, dvec))
         if denom == 0.0:
             return
-        self._regions.append((region.a, dvec, denom))
+        self._regions.append((a, dvec, denom))
         self._peak = np.maximum(self._peak, self._region_peak(self._miles, self._regions[-1:]))
 
     def mark_attempted(self, ni: int, mi: int) -> None:
@@ -191,17 +194,16 @@ def add_milestones(oracle: CollisionOracle, params: SprintParams,
 
 def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
          params: SprintParams, rng: np.random.Generator,
-         variant: SprintVariant | None = None) -> PlanResult:
+         variant: SprintVariant = SprintVariant()) -> PlanResult:
     """Full SPRINT run from q_init to q_goal, until the oracle refuses a query.
 
     The tree holds every vertex of every local path that reached its
     milestone, each hanging off the vertex before it; global node n (the
     selector's row n) is tree node at[n].  The selector alone keeps the
-    milestones, the goal first."""
+    milestones, the goal first.  The default selection is looked up here, not
+    bound at import, so that a patched select_best sees every call."""
     t0 = time.perf_counter()
-    if variant is None:
-        variant = SprintVariant()
-
+    select = variant.select_fn or _PairSelector.select_best
     tree = Tree(q_init)
     path_pts = None
     try:
@@ -212,10 +214,7 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         selector.add_milestones(add_milestones(oracle, params, rng))
 
         while path_pts is None:
-            if variant.random_region_select:
-                pick = selector.select_random(rng)
-            else:
-                pick = selector.select_best()
+            pick = select(selector)
             if pick is None:
                 selector.add_milestones(add_milestones(oracle, params, rng))
                 continue
@@ -234,7 +233,7 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 if mi == 0:
                     path_pts = tree.path_to(node)
             else:
-                selector.add_region(Region(q_n, q_m))
+                selector.add_region(q_n, q_m)
     except BudgetExhausted:
         pass
 

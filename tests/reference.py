@@ -13,9 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sprint_planner.geometry import Config, Region, _check_dims, dist
+from sprint_planner.geometry import Config, _check_dims, dist
 from sprint_planner.params import SprintParams
 from sprint_planner.world import Box, Scene, Sphere
+
+
+@dataclass(frozen=True)
+class Region:
+    """A search-space region marked by two endpoint configurations."""
+
+    a: Config
+    b: Config
+
+    def __post_init__(self):
+        _check_dims(self.a, self.b)
 
 
 def proj_scalar(p: Config, r: Region) -> float:

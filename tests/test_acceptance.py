@@ -17,7 +17,7 @@ import pytest
 
 from sprint_planner.baselines import KdTree
 from sprint_planner.bench import run_trial, write_csv, record_row
-from sprint_planner.geometry import Region, dist
+from sprint_planner.geometry import dist
 from sprint_planner.global_planner import PlanStatus, SprintParams, _PairSelector, plan
 from sprint_planner.local_planner import (LocalTree, grad_g2, grad_g3,
                                           promote_checkpoint, subtree_sigma,
@@ -249,7 +249,7 @@ class TestCriterion7HeuristicMath:
         def best_pair(params):
             sel = _PairSelector(np.array([0.1, 0.5]), goal, params)
             sel.add_milestones([[0.9, 0.5], [0.5, 0.9], [0.4, 0.2]])
-            sel.add_region(Region(np.array([0.1, 0.5]), np.array([0.5, 0.6])))
+            sel.add_region(np.array([0.1, 0.5]), np.array([0.5, 0.6]))
             return sel.select_best()
 
         base = best_pair(SprintParams(lam=lam))

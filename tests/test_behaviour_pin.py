@@ -1,16 +1,16 @@
 """Fixed-seed outcomes: the default SPRINT planner on the high-dimensional
-fixtures, the uniform region choice (`sprint:no-pr1`, the scorer's
-select_random path) on a 2-D and a 10-D fixture, the heuristic-override
+fixtures, the uniform region choice (`sprint:no-pr1`, a select_fn over the
+scorer's select_random) on a 2-D and a 10-D fixture, the heuristic-override
 ablations (`sprint:no-pr2`, `sprint:no-pr3`, `sprint:random-params`) on
 `single_box_2d`, and both baselines on the same two fixtures and on the
 short-trial fixtures `single_box_2d` and `vertical_bars_2d`.
 
 A change that is meant to keep behaviour must keep these (status,
 total_samples) pairs, the path bytes of SPRINT on the high-dimensional
-fixtures and of the baselines, the exact delta-useful ratio of all three
-planners on those two fixtures, and the tree segments all three return on
-`narrow_passage_2d`; they catch trajectory and metric drift in seconds,
-without the acceptance grids.
+fixtures, of the uniform region choice and of the baselines, the exact
+delta-useful ratio of all three planners on those two fixtures, and the
+tree segments all three return on `narrow_passage_2d`; they catch
+trajectory and metric drift in seconds, without the acceptance grids.
 """
 
 import functools
@@ -38,11 +38,17 @@ PINNED_SPRINT_PATHS = {
                      "34cb3614c2cf7f87", "919430c097be3818"],
 }
 
+# (status, total_samples, first 16 hex digits of sha256(path.tobytes())),
+# seeds 0-4
 PINNED_RANDOM_SELECT = {
-    "narrow_passage_2d": [("Solved", 5363), ("Solved", 3236), ("Solved", 556),
-                          ("Solved", 1692), ("Solved", 10384)],
-    "box_maze_10d": [("Solved", 2075), ("Solved", 13677), ("Solved", 16173),
-                     ("Solved", 8000), ("Solved", 2155)],
+    "narrow_passage_2d": [
+        ("Solved", 5363, "8f7b26ab692864d4"), ("Solved", 3236, "23c9bac8bc9ad632"),
+        ("Solved", 556, "ab5cc1f6ff088038"), ("Solved", 1692, "b2e97b05e9c8582e"),
+        ("Solved", 10384, "35b4c1affc732fe4")],
+    "box_maze_10d": [
+        ("Solved", 2075, "bb81d00c511d1af0"), ("Solved", 13677, "a06bf381392d13dc"),
+        ("Solved", 16173, "61b0addde1a062f9"), ("Solved", 8000, "462b60e91e7a2859"),
+        ("Solved", 2155, "34561d8a923a426a")],
 }
 
 # (status, total_samples, first 16 hex digits of sha256(path.tobytes())),
@@ -167,7 +173,10 @@ def test_sprint_paths_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_RANDOM_SELECT))
 def test_random_region_selection_is_pinned(name):
-    assert _outcomes("sprint:no-pr1", name) == PINNED_RANDOM_SELECT[name]
+    got = [(rec.status, rec.total_samples,
+            hashlib.sha256(res.path.tobytes()).hexdigest()[:16])
+           for rec, res in _trials("sprint:no-pr1", name)]
+    assert got == PINNED_RANDOM_SELECT[name]
 
 
 @pytest.mark.parametrize("planner, name", sorted(PINNED_BASELINES))

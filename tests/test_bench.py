@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
@@ -207,8 +207,15 @@ class TestAblation:
         p = SprintParams(lam=0.01)
         q, variant = SPRINT_VARIANTS["sprint"](p, np.random.default_rng(0))
         assert q is p
-        assert variant.gate_fn is None and variant.edge_fn is None
-        assert not variant.random_region_select
+        assert astuple(variant) == (None, None, None)
+
+    @pytest.mark.parametrize("planner", sorted(SPRINT_VARIANTS))
+    def test_every_override_is_a_function_or_none(self, planner):
+        _, variant = SPRINT_VARIANTS[planner](SprintParams(), np.random.default_rng(0))
+        for f in fields(variant):
+            assert f.name.endswith("_fn")
+            value = getattr(variant, f.name)
+            assert value is None or callable(value)
 
     def test_random_params_stays_within_quarter(self):
         p = SprintParams(lam=0.01)
@@ -229,11 +236,22 @@ class TestAblation:
         p = SprintParams(lam=0.01)
         rng = np.random.default_rng(0)
         _, v1 = SPRINT_VARIANTS["sprint:no-pr1"](p, rng)
-        assert v1.random_region_select
+        assert v1.select_fn is not None
         _, v2 = SPRINT_VARIANTS["sprint:no-pr2"](p, rng)
         assert v2.gate_fn is not None
         _, v3 = SPRINT_VARIANTS["sprint:no-pr3"](p, rng)
         assert v3.edge_fn is not None
+
+    def test_random_selection_draws_from_the_ablation_generator(self):
+        # as the coin gate below: the uniform pick keeps its place in the
+        # trial's draw sequence
+        from sprint_planner.global_planner import _PairSelector
+        _, v = SPRINT_VARIANTS["sprint:no-pr1"](SprintParams(), np.random.default_rng(3))
+        sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]), SprintParams())
+        sel.add_milestones(np.random.default_rng(0).uniform(0, 1, (5, 2)))
+        twin = np.random.default_rng(3)
+        assert ([v.select_fn(sel) for _ in range(32)]
+                == [sel.select_random(twin) for _ in range(32)])
 
     def test_coin_gate_is_fair_coin(self):
         _, v = SPRINT_VARIANTS["sprint:no-pr2"](SprintParams(), np.random.default_rng(3))
@@ -374,6 +392,32 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             run_grid(cfg, tmp_path / "out")
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    FIXTURES_2D = ["single_box_2d", "narrow_passage_2d", "vertical_bars_2d"]
+
+    def data_rows(self, out):
+        with open(out / "results.csv", newline="") as f:
+            rows = [r[:6] + r[7:] for r in csv.reader(f)]
+        return rows[1:-3 * 2 * len(self.FIXTURES_2D)]
+
+    def trial_rows(self, lam_of):
+        rows = [record_row(run_trial(planner, fixture_scene(name), *fixture_endpoints(name),
+                                     seed, SprintParams(lam=lam_of(name)), 50_000)[0])
+                for planner in ("rrt", "sprint") for name in sorted(self.FIXTURES_2D)
+                for seed in (0, 1)]
+        return [r[:6] + r[7:] for r in rows]
+
+    def test_each_fixture_runs_at_its_own_lam(self, tmp_path):
+        cfg = self.config(tmp_path, scenes=self.FIXTURES_2D, seeds=[0, 1],
+                          max_samples=50_000, params={})
+        run_grid(cfg, tmp_path / "out")
+        assert self.data_rows(tmp_path / "out") == self.trial_rows(fixture_lam)
+
+    def test_grid_params_lam_wins_over_the_fixtures(self, tmp_path):
+        cfg = self.config(tmp_path, scenes=self.FIXTURES_2D, seeds=[0, 1],
+                          max_samples=50_000, params={"lam": 0.05})
+        run_grid(cfg, tmp_path / "out")
+        assert self.data_rows(tmp_path / "out") == self.trial_rows(lambda name: 0.05)
 
     def scene_file(self, tmp_path, ident):
         (tmp_path / ident).parent.mkdir(exist_ok=True)

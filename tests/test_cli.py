@@ -6,6 +6,8 @@ import pytest
 
 from sprint_planner import bench
 from sprint_planner.cli import main
+from sprint_planner.params import SprintParams
+from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
 
 # free space is the sliver [0, 1e-6]^2, so milestone rejection sampling
 # gives up before it draws a free point
@@ -48,6 +50,23 @@ class TestPlanCommand:
         params.write_text(json.dumps({"lam": 0.1}), encoding="utf-8")
         rc = main(["plan", "--scene", "empty_2d", "--params", str(params)])
         assert rc == 0
+
+    @pytest.mark.parametrize("params, lam", [
+        (None, fixture_lam("vertical_bars_2d")),
+        ({"lam": 0.05}, 0.05),  # the lam this run took before fixtures had their own
+        ({"k_obs": 5}, fixture_lam("vertical_bars_2d")),
+    ])
+    def test_fixture_runs_at_its_own_lam_unless_params_set_one(self, tmp_path, capsys,
+                                                               params, lam):
+        argv = ["plan", "--scene", "vertical_bars_2d", "--seed", "0"]
+        if params is not None:
+            (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+            argv += ["--params", str(tmp_path / "p.json")]
+        assert main(argv) == 0
+        rec, _, _ = bench.run_trial(
+            "sprint", fixture_scene("vertical_bars_2d"), *fixture_endpoints("vertical_bars_2d"),
+            0, SprintParams(**{**(params or {}), "lam": lam}), 200_000)
+        assert f" samples={rec.total_samples} " in capsys.readouterr().out
 
     def test_svg_output(self, tmp_path, capsys):
         svg = tmp_path / "run.svg"
@@ -352,6 +371,26 @@ class TestBenchCommand:
         assert err.startswith("error: unknown planner 'rrt:'; known: ") and err.count("\n") == 1
         assert calls == []
         assert not (out / "results.csv").exists()
+
+    def test_too_long_svg_names_stop_the_grid_before_any_trial(self, tmp_path, capsys,
+                                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        scene = "sub/" + "b" * 245 + ".json"  # a file name of 250 characters
+        (tmp_path / "sub").mkdir()
+        (tmp_path / scene).write_text(json.dumps(
+            {"name": "box", "lower": [0, 0], "upper": [1, 1], "obstacles": []}), encoding="utf-8")
+        (tmp_path / "grid.json").write_text(json.dumps({
+            "scenes": [scene], "planners": ["rrt"], "seeds": [0], "svg": True,
+            "endpoints": {scene: [[0.1, 0.1], [0.9, 0.9]]},
+        }), encoding="utf-8")
+        assert main(["bench", "--config", "grid.json", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene 'sub/bbb") and err.count("\n") == 1
+        assert "SVG names would be longer than the file system's" in err
+        assert calls == []
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @staticmethod
     def no_free_space_grid(tmp_path, budget):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sprint_planner.geometry import Region, as_config, dist, polyline_length, unit
+from sprint_planner.geometry import as_config, dist, polyline_length, unit
 
-from reference import hvs, proj, proj_scalar
+from reference import Region, hvs, proj, proj_scalar
 
 
 def vectors(dim, lo=-10.0, hi=10.0):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sprint_planner.geometry import Region, dist
+from sprint_planner.geometry import dist
 from sprint_planner.global_planner import (PlanStatus, SprintParams, SprintVariant,
                                            Tree, _PairSelector, add_milestones, plan)
 from sprint_planner.world import Box, CollisionOracle, Scene
 
-from reference import (RegionState, candidate_pairs, pair_scores, select_pair,
+from reference import (Region, RegionState, candidate_pairs, pair_scores, select_pair,
                        select_region)
 
 
@@ -99,9 +99,9 @@ class TestPairSelectorEquivalence:
                     tree.nodes.append(q)
                     sel.add_node(q)
                 elif r < 0.65:
-                    region = Region(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2))
-                    tree.local_min_regions.append(region)
-                    sel.add_region(region)
+                    a, b = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
+                    tree.local_min_regions.append(Region(a, b))
+                    sel.add_region(a, b)
                 elif r < 0.85:
                     ni = int(rng.integers(len(tree.nodes)))
                     mi = int(rng.integers(len(tree.milestones)))
@@ -146,7 +146,7 @@ class TestPairSelectorEquivalence:
             q_init, q_goal = rng.uniform(0, 1, dim), rng.uniform(0, 1, dim)
             nodes = rng.uniform(0, 1, (27, dim))
             batches = [rng.uniform(0, 1, (p.milestone_batch, dim)) for _ in range(3)]
-            regions = [Region(rng.uniform(0, 1, dim), rng.uniform(0, 1, dim))
+            regions = [(rng.uniform(0, 1, dim), rng.uniform(0, 1, dim))
                        for _ in range(46)]
             before = _PairSelector(q_init, q_goal, p)
             after = _PairSelector(q_init, q_goal, p)
@@ -154,13 +154,13 @@ class TestPairSelectorEquivalence:
                 sel.add_milestones([q_goal])
                 for q in nodes:
                     sel.add_node(q)
-            for region in regions:
-                before.add_region(region)
+            for a, b in regions:
+                before.add_region(a, b)
             for batch in batches:
                 before.add_milestones(batch)
                 after.add_milestones(batch)
-            for region in regions:
-                after.add_region(region)
+            for a, b in regions:
+                after.add_region(a, b)
             np.testing.assert_allclose(before.scores(), after.scores(),
                                        rtol=1e-15, atol=0.0)
 
@@ -303,7 +303,8 @@ class TestPlan:
 
     def test_random_region_variant_still_solves(self):
         oracle = CollisionOracle(empty_scene())
+        rng = np.random.default_rng(0)
         res = plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle,
-                   params(lam=0.05), np.random.default_rng(0),
-                   variant=SprintVariant(random_region_select=True))
+                   params(lam=0.05), rng,
+                   variant=SprintVariant(select_fn=lambda sel: sel.select_random(rng)))
         assert res.status is PlanStatus.SOLVED

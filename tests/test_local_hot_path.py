@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from sprint_planner.bench import SPRINT_VARIANTS
-from sprint_planner.geometry import Region
 from sprint_planner.local_planner import (LocalTree, backprop_collision,
                                           collision_points, grad_g3,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
 from sprint_planner.params import SprintParams
 
-from reference import hvs, proj, proj_scalar
+from reference import Region, hvs, proj, proj_scalar
 
 
 def grad_g3_reference(q_x, q_c, obs, lam, rng):

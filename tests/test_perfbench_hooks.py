@@ -40,10 +40,14 @@ def _traced_trial(tracing, planner, name="single_box_2d", budget=50_000):
     return rec, {layer: acc[0] for layer, acc in trial["layers"].items()}, trial["counters"]
 
 
-def test_traced_sprint_trial_reaches_the_local_hooks(tracing):
+def test_traced_sprint_trial_reaches_the_global_and_local_hooks(tracing):
+    # every default SPRINT step is looked up where the tracer patches it
     rec, calls, _ = _traced_trial(tracing, "sprint")
-    assert calls.get("local_planner.valid_node", 0) >= 1
-    assert calls.get("local_planner.local_edge", 0) >= 1
+    for layer in ("global_planner.plan", "global_planner.select",
+                  "global_planner.add_milestones", "local_planner.local_search",
+                  "local_planner.valid_node", "local_planner.local_edge",
+                  "local_planner.grad_g3", "local_planner.backprop"):
+        assert calls.get(layer, 0) >= 1, layer
     assert calls.get("world.is_free", 0) == rec.total_samples
 
 
