@@ -24,31 +24,27 @@ REBUILD_EVERY = 256  # KdTree inserts between rebuilds of its scipy index
 class KdTree:
     """Incremental exact nearest-neighbor index.
 
-    Backed by a scipy kd-tree rebuilt every REBUILD_EVERY inserts plus a
-    brute-force buffer of the inserts since, so queries stay exact while
-    insertion stays cheap.  `scipy.spatial` is imported when the first
-    KdTree is built, not with this module: a process that never builds a
-    kd-tree never pays its import, and a planner that builds its trees
-    before it starts its clock is not charged for it.
+    A scipy kd-tree over the first `_tree_size` points plus a brute-force
+    scan of one fixed (REBUILD_EVERY, dim) buffer of the points inserted
+    since; the insert that fills the buffer rebuilds the index over both.
+    `scipy.spatial` is imported when the first KdTree is built, not with
+    this module: a process that never builds a kd-tree never pays its
+    import, and a planner that builds its trees before it starts its clock
+    is not charged for it.
 
-    A query for row k of a target block, `nearest(block[k], row=(block, k))`,
-    answers the kd-tree part of rows k.. in one batched scipy query, kept for
-    the rows that follow until the block or the scipy index changes;
-    `nearest_each` walks a block that way.  The buffer scan stays per query,
-    because the buffer grows between queries.
+    `nearest_each(block)` answers the scipy part of a block's rows in one
+    query, again for the rows still ahead after a rebuild, and hands each
+    row's answer to `nearest`, which scans the buffer as it is at that row.
     """
 
     def __init__(self, dim: int):
         from scipy.spatial import cKDTree
         self._cKDTree = cKDTree
         self.dim = dim
-        self._pts = np.empty((REBUILD_EVERY, dim))
+        self._buf = np.empty((REBUILD_EVERY, dim))  # the points from _tree_size on
         self._size = 0
         self._tree = None  # scipy cKDTree over the first _tree_size points
         self._tree_size = 0
-        # (block, scipy index, first row, distances, indices) of the last
-        # batched query: the answers for that block's rows from the first on
-        self._batch = None
 
     def __len__(self) -> int:
         return self._size
@@ -56,50 +52,45 @@ class KdTree:
     def insert(self, q: Config) -> int:
         if q.shape[0] != self.dim:
             raise ValueError("point dimension mismatch")
-        if self._size == self._pts.shape[0]:
-            grown = np.empty((2 * self._size, self.dim))
-            grown[: self._size] = self._pts
-            self._pts = grown
-        self._pts[self._size] = q
+        self._buf[self._size - self._tree_size] = q
         self._size += 1
-        if self._size - self._tree_size >= REBUILD_EVERY:
-            self._tree = self._cKDTree(self._pts[: self._size].copy())
+        if self._size - self._tree_size == len(self._buf):
+            # cKDTree keeps a contiguous float64 array without copying it,
+            # so the first index gets a copy of the buffer it would alias
+            pts = self._buf.copy() if self._tree is None else np.concatenate(
+                (self._tree.data, self._buf))
+            self._tree = self._cKDTree(pts)
             self._tree_size = self._size
         return self._size - 1
 
-    def nearest(self, q: Config, row: tuple[np.ndarray, int] | None = None) -> int:
-        """Index of the point nearest q; row = (block, k) when q is row k of
-        the (n, dim) array block, which must not change while it is queried."""
+    def nearest(self, q: Config, indexed: tuple[float, int] | None = None) -> int:
+        """Index of the point nearest q; indexed, when given, is q's
+        (distance, index) answer from the current scipy index."""
         if self._size == 0:
             raise ValueError("nearest query on an empty tree")
-        best_d = np.inf
-        best_i = -1
+        best_d, best_i = np.inf, -1
         if self._tree is not None:
-            if row is None:
-                d, i = self._tree.query(q)
-            else:
-                block, k = row
-                b = self._batch
-                if b is None or b[0] is not block or b[1] is not self._tree or k < b[2]:
-                    b = self._batch = (block, self._tree, k, *self._tree.query(block[k:]))
-                d, i = b[3][k - b[2]], b[4][k - b[2]]
-            best_d, best_i = float(d), int(i)
+            best_d, best_i = self._tree.query(q) if indexed is None else indexed
         if self._tree_size < self._size:
-            buf = self._pts[self._tree_size : self._size]
-            diff = buf - q
+            diff = self._buf[: self._size - self._tree_size] - q
             dd = np.einsum("ij,ij->i", diff, diff)
-            j = int(np.argmin(dd))
-            if float(dd[j]) < best_d * best_d:
+            j = dd.argmin()
+            if dd[j] < best_d * best_d:
                 best_i = self._tree_size + j
-        return best_i
+        return int(best_i)
 
     def nearest_each(self, block: np.ndarray):
         """Yield (target, index nearest it) for each row of block, (n, dim),
         in order; the caller may insert between rows."""
         if block.ndim != 2 or block.shape[1] != self.dim:
             raise ValueError("block must be an (n, dim) array")
+        tree, answers = None, iter(())
         for k, q in enumerate(block):
-            yield q, self.nearest(q, (block, k))
+            if self._tree is not tree:
+                tree = self._tree
+                d, i = tree.query(block[k:])
+                answers = zip(d.tolist(), i.tolist())
+            yield q, self.nearest(q, next(answers, None))
 
 
 def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
@@ -227,7 +218,7 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                     if not oracle.query(q_step):
                         break
                     cur = tb.add(q_step, cur)
-                    if np.array_equal(q_step, q_new):
+                    if q_step is q_new:  # _steer's last step returns its target
                         ib = cur
                         break
                 if ib is not None:

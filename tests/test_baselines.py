@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sprint_planner import baselines
-from sprint_planner.baselines import KdTree, _rrt_targets, rrt_connect_plan, rrt_plan
+from sprint_planner.baselines import KdTree, _rrt_targets, _steer, rrt_connect_plan, rrt_plan
 from sprint_planner.global_planner import PlanStatus
 from sprint_planner.world import Box, CollisionOracle, Scene
 
@@ -161,6 +161,31 @@ class TestKdTreeQueue:
             kd.insert(p)
         assert answers[2:] == [21, 22, 23]
 
+    def test_a_walk_queries_scipy_once_per_index(self, rebuild_every_16):
+        # the walk answers its rows ahead in one scipy query, and once more
+        # for the rows still ahead when an insert rebuilds the index
+        queries = []
+        kd = KdTree(2)
+
+        class Counting(kd._cKDTree):
+            def query(self, x, *args, **kwargs):
+                queries.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        kd._cKDTree = Counting
+        rng = np.random.default_rng(10)
+        pts = [rng.uniform(0, 1, 2) for _ in range(16)]
+        for p in pts:
+            kd.insert(p)  # the 16th insert builds the scipy index
+        block = rng.uniform(0, 1, size=(24, 2))
+        for k, (q, got) in enumerate(kd.nearest_each(block)):
+            assert got == scan(pts, q)
+            if k < 16:  # the 16th insert, after row 15, rebuilds the index
+                p = rng.uniform(0, 1, 2)
+                pts.append(p)
+                kd.insert(p)
+        assert queries == [24, 8]
+
     def test_queue_checks_shape_and_exhaustion(self):
         kd = KdTree(2)
         kd.insert(np.zeros(2))
@@ -177,9 +202,9 @@ class TestKdTreeQueue:
         seen = []
         plain = KdTree.nearest
 
-        def recording(self, q, row=None):
+        def recording(self, q, indexed=None):
             seen.append(np.array(q))
-            return plain(self, q, row)
+            return plain(self, q, indexed)
 
         monkeypatch.setattr(KdTree, "nearest", recording)
         rrt_plan(start, goal, oracle, step, np.random.default_rng(6))
@@ -218,16 +243,16 @@ class TestKdTreeQueue:
         assert sum(c > 0 for c in carried) >= 4
 
     def test_rrt_connect_consumes_the_per_iteration_draw_sequence(self, monkeypatch):
-        # each row's query: the targets in the order the iterations use them
+        # each row a walk yields: the targets in the order the iterations use them
         seen = []
-        plain = KdTree.nearest
+        plain = KdTree.nearest_each
 
-        def recording(self, q, row=None):
-            if row is not None:
+        def recording(self, block):
+            for q, i in plain(self, block):
                 seen.append(np.array(q))
-            return plain(self, q, row)
+                yield q, i
 
-        monkeypatch.setattr(KdTree, "nearest", recording)
+        monkeypatch.setattr(KdTree, "nearest_each", recording)
         oracle = wall_oracle(budget=3000)
         rrt_connect_plan(np.array([0.1, 0.5]), np.array([0.9, 0.5]), oracle, 0.01,
                          np.random.default_rng(7))
@@ -236,6 +261,27 @@ class TestKdTreeQueue:
         expect = [rng.uniform(lo, hi) for _ in seen]
         assert len(seen) > 300
         np.testing.assert_array_equal(np.array(seen), np.array(expect))
+
+
+class TestSteer:
+    """RRT-Connect ends a connect when _steer returns its target object."""
+
+    def test_zero_distance_is_none(self):
+        q = np.array([0.3, 0.4])
+        assert _steer(q, q.copy(), 0.1) is None
+
+    @pytest.mark.parametrize("offset", [0.0625, 0.125])
+    def test_target_within_one_step_is_returned_itself(self, offset):
+        q_from, q_to = np.array([0.25, 0.5]), np.array([0.25 + offset, 0.5])
+        assert _steer(q_from, q_to, 0.125) is q_to
+
+    def test_farther_target_gets_a_new_point_one_step_away(self):
+        q_from, q_to = np.array([0.1, 0.2, 0.3]), np.array([0.9, -0.4, 0.5])
+        q = _steer(q_from, q_to, 0.1)
+        assert q is not q_to
+        assert np.linalg.norm(q - q_from) == pytest.approx(0.1, rel=1e-12)
+        # on the segment toward the target
+        np.testing.assert_allclose(q, q_from + 0.1 * (q_to - q_from) / np.linalg.norm(q_to - q_from))
 
 
 def path_checks(res, start, goal, step):

@@ -59,6 +59,10 @@ def test_traced_baseline_trial_reaches_the_kd_tree_hooks(tracing, planner):
     # the nearest hook's counter takes len() of the KdTree it is called on
     assert counters["baselines.nearest.tree_size"] >= calls["baselines.nearest"]
     assert calls.get("world.is_free", 0) == rec.total_samples
+    if planner == "rrt":
+        # every RRT sample past the two endpoint checks follows one row's
+        # nearest call, so every row reaches the hooked KdTree.nearest
+        assert calls["baselines.nearest"] >= calls["world.is_free"] - 2
 
 
 @pytest.mark.parametrize("budget", [1, 2, 51])
