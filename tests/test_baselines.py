@@ -264,7 +264,9 @@ class TestKdTreeQueue:
 
 
 class TestSteer:
-    """RRT-Connect ends a connect when _steer returns its target object."""
+    """_steer's three outcomes.  RRT-Connect's connect loop stops on the
+    first two: None at zero distance, the target object itself within one
+    step."""
 
     def test_zero_distance_is_none(self):
         q = np.array([0.3, 0.4])
@@ -281,7 +283,8 @@ class TestSteer:
         assert q is not q_to
         assert np.linalg.norm(q - q_from) == pytest.approx(0.1, rel=1e-12)
         # on the segment toward the target
-        np.testing.assert_allclose(q, q_from + 0.1 * (q_to - q_from) / np.linalg.norm(q_to - q_from))
+        unit = (q_to - q_from) / np.linalg.norm(q_to - q_from)
+        np.testing.assert_allclose(q, q_from + 0.1 * unit)
 
 
 def path_checks(res, start, goal, step):
