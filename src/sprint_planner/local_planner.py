@@ -77,8 +77,10 @@ class LocalTree(Tree):
         nid = super().add(q, parent)
         self.children.append([])
         self.children[parent].append(nid)
-        self.d_goal.append(dist(q, self.goal))
-        self.d_root.append(dist(q, self.root))
+        d = q - self.goal
+        self.d_goal.append(math.sqrt(d.dot(d)))
+        d = q - self.root
+        self.d_root.append(math.sqrt(d.dot(d)))
         self.cp_chain.append(self.cp_chain[parent])
         return nid
 
@@ -119,7 +121,7 @@ def collision_points(node_id: int, tree: LocalTree) -> np.ndarray:
     """Collision points stored at the nearest ancestor checkpoint of node_id,
     oldest first, as a fresh (k, d) array."""
     obs = tree.records[tree.cp_chain[node_id][-1]].obs
-    return np.array(obs).reshape(-1, tree.root.shape[0])
+    return np.array(obs) if obs else np.empty((0, tree.root.shape[0]))
 
 
 def backprop_progress(tree: LocalTree, new_node_id: int) -> None:
@@ -174,11 +176,6 @@ def promote_checkpoint(tree: LocalTree, node_id: int) -> None:
     )
 
 
-def grad_g1(q_x: Config, q_p: Config) -> Config:
-    """Straight-line pull along the predecessor edge direction."""
-    return unit(q_x - q_p)
-
-
 def grad_g2(q_c: Config, q_goal: Config, lam: float) -> Config:
     """Goal pull, strengthened as the candidate nears the goal."""
     diff = q_goal - q_c
@@ -197,6 +194,10 @@ def grad_g3(q_x: Config, q_c: Config, obs, lam: float,
     configurations.  Points projecting behind q_x are gated out; a point
     landing exactly on the line through q_x and q_c pushes in a random unit
     direction, one rng draw per such point in the order of obs.
+
+    A gated-out point adds exactly zero to the all-rows product, so with no
+    point ahead the result is +0, and with one point ahead it is that
+    point's term alone, bit for bit what the product gives.
     """
     obs = np.asarray(obs, dtype=np.float64)
     k = len(obs)
@@ -208,24 +209,42 @@ def grad_g3(q_x: Config, q_c: Config, obs, lam: float,
         raise ValueError("degenerate region: endpoints coincide")
     rel = obs - q_x
     s = rel.dot(dv) / denom
+    ahead = [i for i, t in enumerate(s.tolist()) if not t < 0.0]
+    if not ahead:
+        return np.zeros(dv.shape[0])
+    four_lam2 = 4.0 * lam * lam
+    if len(ahead) == 1:
+        i = ahead[0]
+        r = s[i] * dv - rel[i]
+        n2 = float(np.einsum("j,j->", r, r))  # the row kernel of the einsum below
+        if n2 == 0.0:
+            r = _random_unit(rng, dv.shape[0])
+        # + 0.0 turns a -0 coordinate into the +0 the product starts from
+        return _repulsion_weight(n2, k, four_lam2) * r + 0.0
     # each point's offset to its projection q_x + s*dv, formed explicitly:
     # |rel|^2 - (rel.dv)^2/denom cancels for points near the line
     res = s[:, None] * dv - rel
-    sep2 = np.einsum("ij,ij->i", res, res)
-    four_lam2 = 4.0 * lam * lam
+    sep2 = np.einsum("ij,ij->i", res, res).tolist()
     weights = [0.0] * k
-    for i, (t, n2) in enumerate(zip(s.tolist(), sep2.tolist())):
-        if t < 0.0:
-            continue
-        n = math.sqrt(n2)
-        psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
-        if n == 0.0:
-            direction = rng.normal(size=dv.shape[0])
-            res[i] = direction / np.linalg.norm(direction)
-            weights[i] = psi32 / k
-        else:
-            weights[i] = psi32 / (n * k)
+    for i in ahead:
+        if sep2[i] == 0.0:
+            res[i] = _random_unit(rng, dv.shape[0])
+        weights[i] = _repulsion_weight(sep2[i], k, four_lam2)
     return np.dot(weights, res)
+
+
+def _repulsion_weight(n2: float, k: int, four_lam2: float) -> float:
+    """Weight of one ahead point at squared separation n2 among k points:
+    psi3,2 / k times its unit direction, which for n2 > 0 is its residual
+    over the separation."""
+    n = math.sqrt(n2)
+    psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
+    return psi32 / k if n == 0.0 else psi32 / (n * k)
+
+
+def _random_unit(rng: np.random.Generator, d: int) -> Config:
+    direction = rng.normal(size=d)
+    return direction / np.linalg.norm(direction)
 
 
 def _virtual_root_predecessor(tree: LocalTree) -> Config:
@@ -249,11 +268,11 @@ def local_edge(node_id: int, tree: LocalTree, obs,
     # the candidate is tracked as its offset from q_x, which each ascent
     # step moves by eta * gradient and then rescales to length lam
     step = q_x - q_p
+    g1 = unit(step)  # the straight-line pull along the predecessor edge
     repel = len(obs) > 0
     if repel:
         step = step + rng.uniform(-lam / 100.0, lam / 100.0, size=q_x.shape[0])
     q_c = q_x + step
-    g1 = grad_g1(q_x, q_p)
     eta = params.eta_eff
     pull = (eta * params.w1_l) * g1
     eta_w2, eta_w3, goal = eta * params.w2_l, eta * params.w3_l, tree.goal

@@ -4,11 +4,14 @@ The library runs the fast forms: `_PairSelector` for region selection,
 `local_planner.grad_g3` for the repulsion, the kd-tree-pruned
 `bench.delta_useful_ratio`, the early-exit `CollisionOracle.is_free` and the
 cached `LocalTree.cp_chain`.  The plain versions here recompute everything
-from scratch and are what the equivalence tests compare those against.
+from scratch and are what the equivalence tests compare those against;
+`grad_g3_all_rows` is the one kept for bit identity rather than as a plain
+version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +52,40 @@ def proj(p: Config, r: Region) -> Config:
 def hvs(x: float) -> float:
     """Heaviside step; the value at exactly 0 is 1."""
     return 0.0 if x < 0.0 else 1.0
+
+
+def grad_g3_all_rows(q_x: Config, q_c: Config, obs, lam: float,
+                     rng: np.random.Generator) -> Config:
+    """`local_planner.grad_g3` as it was before its shortcuts for at most one
+    point ahead: every row's residual and weight, gated-out rows weighted 0,
+    summed by one vector-matrix product.  Fixed-seed trajectories were
+    recorded with it, so grad_g3 must match it byte for byte."""
+    obs = np.asarray(obs, dtype=np.float64)
+    k = len(obs)
+    if k == 0:
+        raise ValueError("grad_g3 requires at least one collision point")
+    dv = q_c - q_x
+    denom = float(dv.dot(dv))
+    if denom == 0.0:
+        raise ValueError("degenerate region: endpoints coincide")
+    rel = obs - q_x
+    s = rel.dot(dv) / denom
+    res = s[:, None] * dv - rel
+    sep2 = np.einsum("ij,ij->i", res, res)
+    four_lam2 = 4.0 * lam * lam
+    weights = [0.0] * k
+    for i, (t, n2) in enumerate(zip(s.tolist(), sep2.tolist())):
+        if t < 0.0:
+            continue
+        n = math.sqrt(n2)
+        psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
+        if n == 0.0:
+            direction = rng.normal(size=dv.shape[0])
+            res[i] = direction / np.linalg.norm(direction)
+            weights[i] = psi32 / k
+        else:
+            weights[i] = psi32 / (n * k)
+    return np.dot(weights, res)
 
 
 @dataclass

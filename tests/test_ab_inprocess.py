@@ -46,21 +46,29 @@ class StubSide:
         return cpu, 2 * cpu, SAMPLES, self.digest((planner, scene_name), seed)
 
 
-def _compare(ab, head_digest=lambda cell, seed: b"same"):
-    # base 4 us/sample everywhere; head 2, 8 and 2 us/sample on seeds 0-2
-    sides = {"base": StubSide([0.004] * 3), "head": StubSide([0.002, 0.008, 0.002], head_digest)}
+def _compare(ab, head_digest=lambda cell, seed: b"same",
+             control_digest=lambda cell, seed: b"same"):
+    # base 4 us/sample everywhere; head 2, 8 and 2 us/sample on seeds 0-2;
+    # the base's copy 4, 2 and 4
+    sides = {"base": StubSide([0.004] * 3), "head": StubSide([0.002, 0.008, 0.002], head_digest),
+             "control": StubSide([0.004, 0.002, 0.004], control_digest)}
     report = ab.compare(sides, "stub", CELLS, 3, 2)
     assert all(n == 2 for side in sides.values() for n in side.calls.values())
     return report
 
 
 def test_equal_digests_report_ratio_and_wins(ab, capsys):
-    assert _compare(ab)["overall"]["digests_agree"] is True
+    report = _compare(ab)
+    assert report["overall"]["digests_agree"] is True
     lines = capsys.readouterr().out.splitlines()
     # per seed head/base 0.5, 2, 0.5: geometric mean 0.5 ** (1/3)
     for line, (planner, scene) in zip(lines[2:4], CELLS):
         assert line.split() == [planner, scene, "4.00", "3.17", "0.794", "2/3", "same"]
     assert lines[4] == "overall head/base 0.794  head won 4/6  digests same"
+    # per seed copy/base 1, 0.5, 1 in each cell
+    assert lines[5] == "control copy/base 0.794  copy won 2/6  digests same"
+    assert report["control"] == {"ratio": pytest.approx(0.5 ** (1 / 3)), "wins": 2, "n": 6,
+                                 "digests_agree": True}
 
 
 def test_one_differing_digest_fails(ab, capsys):
@@ -72,6 +80,41 @@ def test_one_differing_digest_fails(ab, capsys):
     assert lines[2].split()[-1] == "same"
     assert lines[3].split()[-1] == "DIFFER"
     assert lines[4].endswith("digests DIFFER")
+    assert lines[5].endswith("digests same")
+
+
+def test_control_digest_differing_from_base_fails(ab, capsys):
+    def control_digest(cell, seed):
+        return b"other" if (cell, seed) == (CELLS[0], 1) else b"same"
+
+    report = _compare(ab, control_digest=control_digest)
+    assert report["control"]["digests_agree"] is False
+    assert report["overall"]["digests_agree"] is False
+    assert all(cell["digests_agree"] for cell in report["cells"])
+    assert capsys.readouterr().out.splitlines()[5].endswith("digests DIFFER")
+
+
+def test_sides_take_turns_in_every_order(ab, capsys):
+    orders = {}  # (round, seed) -> the sides in the order they ran
+
+    class Logged(StubSide):
+        def __init__(self, name):
+            super().__init__([0.004] * 6)
+            self.name = name
+
+        def trial(self, planner, scene_name, seed):
+            n = self.calls.get((planner, scene_name, seed), 0)
+            orders.setdefault((n, seed), []).append(self.name)
+            return super().trial(planner, scene_name, seed)
+
+    ab.compare({name: Logged(name) for name in ab.SIDES}, "stub", CELLS[:1], 6, 3)
+    assert len(set(ab.ORDERS)) == 6
+    # within a round the seeds run the six orders, and across rounds each
+    # seed runs a different one
+    for r in range(3):
+        assert {tuple(orders[r, seed]) for seed in range(6)} == set(ab.ORDERS)
+    for seed in range(6):
+        assert len({tuple(orders[r, seed]) for r in range(3)}) == 3
 
 
 TOP_KEYS = {"command", "base", "head", "machine", "budget", "seeds", "rounds",
@@ -83,13 +126,16 @@ CELL_KEYS = {"planner", "scene", "base_cpu_us_per_sample", "head_cpu_us_per_samp
 WALL_CELL_KEYS = {"planner", "scene", "base_us_per_sample", "head_us_per_sample", "ratio",
                   "head_wins", "n", "digests_agree"}
 OVERALL_KEYS = {"ratio", "head_wins", "n", "digests_agree"}
+CONTROL_KEYS = {"ratio", "wins", "n", "digests_agree"}
+# files written before the tool timed a copy of the base have no "control"
+WORKLOAD_KEYS = ({"cells", "overall", "control"}, {"cells", "overall"})
 
 
 def bench_file_problems(data) -> list[str]:
     """What keeps data from being a `--json` report: its key sets, the types
     of each side's git state, and digest agreement that holds at the top
     level only if it holds in every workload, and in a workload only if in
-    every cell."""
+    every cell and in its control, if it has one."""
     if not isinstance(data, dict) or set(data) != TOP_KEYS:
         return [f"top-level keys {sorted(data) if isinstance(data, dict) else data!r}"]
     problems = []
@@ -103,17 +149,21 @@ def bench_file_problems(data) -> list[str]:
         return problems + ["no workloads"]
     agree = True
     for name, wl in data["workloads"].items():
-        if not (isinstance(wl, dict) and set(wl) == {"cells", "overall"}
+        if not (isinstance(wl, dict) and set(wl) in WORKLOAD_KEYS
                 and isinstance(wl["cells"], list) and wl["cells"]
                 and all(isinstance(c, dict) and set(c) in (CELL_KEYS, WALL_CELL_KEYS)
                         for c in wl["cells"])
-                and isinstance(wl["overall"], dict) and set(wl["overall"]) == OVERALL_KEYS):
+                and isinstance(wl["overall"], dict) and set(wl["overall"]) == OVERALL_KEYS
+                and (isinstance(wl.get("control"), dict) and set(wl["control"]) == CONTROL_KEYS
+                     or "control" not in wl)):
             problems.append(f"workload {name}: keys")
             continue
         cells_agree = all(c["digests_agree"] is True for c in wl["cells"])
+        if "control" in wl:
+            cells_agree &= wl["control"]["digests_agree"] is True
         if wl["overall"]["digests_agree"] is not cells_agree:
             problems.append(f"{name}: digests_agree {wl['overall']['digests_agree']!r}; "
-                            f"the cells say {cells_agree}")
+                            f"the cells and control say {cells_agree}")
         agree &= cells_agree
     if data["digests_agree"] is not agree:
         problems.append(f"digests_agree {data['digests_agree']!r}; the workloads say {agree}")
@@ -122,8 +172,11 @@ def bench_file_problems(data) -> list[str]:
 
 def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, capsys):
     # stub checkouts: the head is 2x faster on seed 0 and 2x slower on seed 1
-    seconds = {"ab_base": [0.004, 0.004], "ab_head": [0.002, 0.008]}
-    monkeypatch.setattr(ab, "import_copy", lambda checkout, name, tmp: name)
+    seconds = {"ab_base": [0.004, 0.004], "ab_head": [0.002, 0.008],
+               "ab_control": [0.004, 0.004]}
+    copied = []
+    monkeypatch.setattr(ab, "import_copy",
+                        lambda checkout, name, tmp: copied.append((checkout, name)) or name)
     monkeypatch.setattr(ab, "Side", lambda pkg, scene_names: StubSide(seconds[pkg]))
     out = tmp_path / "BENCH_stub.json"
     # workloads named after one flag and after a repeated flag all run
@@ -133,6 +186,8 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
     assert ab.main(argv) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert bench_file_problems(data) == []
+    # the control is a second copy of the base checkout
+    assert copied == [(tmp_path, "ab_base"), (tmp_path, "ab_head"), (tmp_path, "ab_control")]
     assert data["command"] == "python3 tools/ab_inprocess.py " + " ".join(argv)
     # tmp_path is no git work tree
     assert data["base"] == data["head"] == {"commit": None, "src_modified": None}
@@ -144,6 +199,8 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
     # each side's fastest run on each clock: CPU 4 us/sample, wall 8
     assert cell["base_cpu_us_per_sample"] == pytest.approx(4.0)
     assert cell["base_wall_us_per_sample"] == pytest.approx(8.0)
+    assert data["workloads"]["sprint_highdim"]["control"] == {
+        "ratio": 1.0, "wins": 0, "n": 4, "digests_agree": True}
     assert capsys.readouterr().out.splitlines()[0].startswith("machine python ")
 
 
@@ -158,8 +215,19 @@ def test_bench_file_check_finds_problems():
     assert bench_file_problems(data) == []
     assert bench_file_problems(data | {"note": "x"})[0].startswith("top-level keys")
     cell["digests_agree"] = False
-    assert bench_file_problems(data) == ["w: digests_agree True; the cells say False",
+    assert bench_file_problems(data) == ["w: digests_agree True; the cells and control say False",
                                          "digests_agree True; the workloads say False"]
+    cell["digests_agree"] = True
+    # a control, when present, has its own keys, and its digests count
+    workload = data["workloads"]["w"]
+    workload["control"] = {k: 1 for k in CONTROL_KEYS} | {"digests_agree": True}
+    assert bench_file_problems(data) == []
+    workload["control"]["digests_agree"] = False
+    assert bench_file_problems(data) == ["w: digests_agree True; the cells and control say False",
+                                         "digests_agree True; the workloads say False"]
+    workload["control"] = {"ratio": 1.0}
+    assert bench_file_problems(data) == ["workload w: keys"]
+    del workload["control"]
     # a cell of the wall-time format is valid; one with neither key set is not
     cell.clear()
     cell.update({k: 1 for k in WALL_CELL_KEYS}, digests_agree=True)

@@ -1,7 +1,8 @@
 """Equivalence checks for the local layer's hot path: the array repulsion
-against the per-point loop it replaced, the culling gate against its
-formula and against pinned boundary stall counts, and each checkpoint's
-collision points against a model bounded deque."""
+against the per-point loop it replaced and, byte for byte, against the
+all-rows product its shortcuts skip, the culling gate against its formula
+and against pinned boundary stall counts, and each checkpoint's collision
+points against a model bounded deque."""
 
 import math
 from collections import deque
@@ -16,7 +17,7 @@ from sprint_planner.local_planner import (LocalTree, backprop_collision,
                                           valid_node)
 from sprint_planner.params import SprintParams
 
-from reference import Region, hvs, proj, proj_scalar
+from reference import Region, grad_g3_all_rows, hvs, proj, proj_scalar
 
 
 def grad_g3_reference(q_x, q_c, obs, lam, rng):
@@ -129,6 +130,115 @@ class TestGradG3MatchesReference:
         q = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
             grad_g3(q, q.copy(), np.array([[0.1, 0.1]]), 0.1, np.random.default_rng(0))
+
+
+def _bit_cases(d, k, rng):
+    """(label, points ahead, (q_x, q_c, lam, obs)) cases on a dyadic q_x and q_c - q_x, with
+    no, one and several of k points ahead of q_x, and the same with one
+    ahead point exactly on the line, which draws a random direction."""
+    lam = 0.05
+    q_x = rng.integers(0, 32, d) / 64.0
+    dv = rng.integers(-4, 5, d) / 64.0
+    dv[0] = 1.0 / 64.0
+    q_c = q_x + dv
+
+    def point(t):
+        return q_x + t * dv + float(rng.uniform(0.1, 3.0)) * lam * _perp(rng, dv)
+
+    def obs(n_ahead, on_line):
+        pts = [point(float(rng.uniform(0.05, 2.0))) for _ in range(n_ahead)]
+        pts += [point(-float(rng.uniform(0.05, 2.0))) for _ in range(k - n_ahead)]
+        if on_line:
+            pts[0] = q_x + 0.5 * dv  # exact in dyadic arithmetic: separation 0
+        order = rng.permutation(k)
+        return np.array([pts[i] for i in order])
+
+    counts = (0, 1, int(rng.integers(2, k + 1))) if k >= 2 else (0, 1)
+    for n_ahead in counts:
+        yield f"{n_ahead} ahead", n_ahead, (q_x, q_c, lam, obs(n_ahead, False))
+        if n_ahead:
+            yield f"{n_ahead} ahead, one on the line", n_ahead, (q_x, q_c, lam, obs(n_ahead, True))
+
+
+def _signed_zero_case(d, k):
+    """One point abeam q_x (s = +0, ahead) whose residual has a -0
+    coordinate: s * dv[1] is -0 there and rel[1] is +0; the other k - 1
+    points lie behind, on the line."""
+    q_x = np.full(d, 0.25)
+    dv = np.full(d, 1.0 / 64.0)
+    dv[0], dv[1] = 0.0, -1.0 / 64.0
+    q_c = q_x + dv
+    abeam = q_x.copy()
+    abeam[0] += 1.0 / 64.0
+    obs = [abeam] + [q_x - (j + 1) * dv for j in range(k - 1)]
+    return q_x, q_c, 0.05, np.array(obs)
+
+
+def _all_cases():
+    rng = np.random.default_rng(23)
+    for d in (2, 6, 10):
+        for k in range(1, 11):
+            for rep in range(3):
+                for label, n_ahead, case in _bit_cases(d, k, rng):
+                    yield f"d={d} k={k} {label} #{rep}", n_ahead, case
+            yield f"d={d} k={k} signed zero", 1, _signed_zero_case(d, k)
+
+
+def _differences(g3):
+    """Labels of the cases where g3 and the all-rows formula differ in the
+    bytes of the result or in the generator's next draw."""
+    out = []
+    for seed, (label, _, (q_x, q_c, lam, obs)) in enumerate(_all_cases()):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = g3(q_x, q_c, obs, lam, rng_got)
+        want = grad_g3_all_rows(q_x, q_c, obs, lam, rng_want)
+        if got.tobytes() != want.tobytes() or rng_got.random() != rng_want.random():
+            out.append(label)
+    return out
+
+
+def _one_ahead_with(fault):
+    """grad_g3 with its one-point-ahead shortcut formed with one fault:
+    "no /k" leaves the mean's 1/k out of the weight, "dot" takes the
+    separation by r.dot(r), "no +0" returns w * r as it is."""
+    def g3(q_x, q_c, obs, lam, rng):
+        obs = np.asarray(obs, dtype=np.float64)
+        dv = q_c - q_x
+        rel = obs - q_x
+        s = rel.dot(dv) / float(dv.dot(dv))
+        ahead = [i for i, t in enumerate(s.tolist()) if not t < 0.0]
+        if len(ahead) != 1:
+            return grad_g3(q_x, q_c, obs, lam, rng)
+        r = s[ahead[0]] * dv - rel[ahead[0]]
+        n = math.sqrt(float(r.dot(r)) if fault == "dot" else float(np.einsum("j,j->", r, r)))
+        k = 1 if fault == "no /k" else len(obs)
+        psi32 = 5.0 * math.exp(-(n * n) / (4.0 * lam * lam))
+        if n == 0.0:
+            direction = rng.normal(size=dv.shape[0])
+            return psi32 / k * (direction / np.linalg.norm(direction)) + 0.0
+        w_r = psi32 / (n * k) * r
+        return w_r if fault == "no +0" else w_r + 0.0
+    return g3
+
+
+class TestGradG3BitIdentical:
+    def test_cases_have_the_points_ahead_they_claim(self):
+        paths = set()
+        for label, n_ahead, (q_x, q_c, lam, obs) in _all_cases():
+            region = Region(q_x, q_c)
+            assert sum(hvs(proj_scalar(q, region)) for q in obs) == n_ahead, label
+            paths.add(min(n_ahead, 2))
+        assert paths == {0, 1, 2}
+
+    def test_matches_all_rows_formula(self):
+        assert _differences(grad_g3) == []
+
+    @pytest.mark.parametrize("fault", ["no /k", "dot", "no +0"])
+    def test_cases_catch_a_faulty_shortcut(self, fault):
+        # only one-point-ahead cases can differ; "no /k" only when k > 1
+        diffs = _differences(_one_ahead_with(fault))
+        assert diffs
+        assert all("1 ahead" in label or "signed zero" in label for label in diffs)
 
 
 def _gate_params():

@@ -6,7 +6,7 @@ import pytest
 from sprint_planner.geometry import dist
 from sprint_planner.local_planner import (LocalStatus, LocalTree,
                                           backprop_collision, backprop_progress,
-                                          collision_points, grad_g1, grad_g2,
+                                          collision_points, grad_g2,
                                           grad_g3, local_edge, local_search,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
@@ -237,8 +237,16 @@ class TestCullingGate:
 
 class TestGradients:
     def test_straight_line_pull_is_unit(self):
-        g = grad_g1(np.array([0.2, 0.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(g, [1.0, 0.0])
+        # one ascent step from an edge of length 0.2 along x, with the goal
+        # far along y from the start candidate (0.4, 0), whose pull is a unit
+        # y: step (0.2, 0) + eta * (1, 0) + eta * (0, 1), rescaled to lam
+        p = params(ascent_iters=1)
+        t = LocalTree(np.zeros(2), np.array([0.4, 1000.0]), p)
+        nid = t.add(np.array([0.2, 0.0]), 0)
+        q_c = local_edge(nid, t, np.empty((0, 2)), np.random.default_rng(0))
+        step = np.array([0.2 + p.eta_eff, p.eta_eff])
+        np.testing.assert_allclose(q_c - t.points[nid], p.lam * step / np.linalg.norm(step),
+                                   rtol=0, atol=1e-15)
 
     def test_goal_pull_far_has_unit_strength(self):
         g = grad_g2(np.zeros(2), np.array([100.0, 0.0]), lam=0.1)

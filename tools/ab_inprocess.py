@@ -4,32 +4,40 @@
         --seeds 10 --rounds 3 [--json BENCH_x.json]
 
 Copies each checkout's `src/sprint_planner` into a temporary directory under
-the package names `ab_base` and `ab_head`, imports both into one interpreter,
-and runs every (cell, seed) trial of a benchmark workload (the cells of
-`perfbench/run.py`'s WORKLOADS, budget 50k) on both sides in alternating
-order.  Timing both sides in one process, trial by trial, cancels most of
-the host's drift between runs minutes apart.  Each trial runs after a full
-garbage collection with the collector off, and is timed by the process's
-CPU time (`time.process_time`) and by wall time, keeping each side's fastest
-of --rounds runs on each clock.  The ratio and the win count use CPU time,
-which other processes on the host disturb less than wall time.
+the package names `ab_base` and `ab_head`, and the base a second time as
+`ab_control`, imports all three into one interpreter, and runs every (cell,
+seed) trial of a benchmark workload (the cells of `perfbench/run.py`'s
+WORKLOADS, budget 50k) on each side, the order of the three changing from
+trial to trial through all six permutations.  Timing the sides in one
+process, trial by trial, cancels most of the host's drift between runs
+minutes apart; the control, base against its own copy, measures what is
+left: the tool's lean toward one side, which a head/base ratio must be read
+against.  Each trial runs after a full garbage collection with the collector
+off, and is timed by the process's CPU time (`time.process_time`) and by
+wall time, keeping each side's fastest of --rounds runs on each clock.  The
+ratios and the win counts use CPU time, which other processes on the host
+disturb less than wall time.
 
 Per cell it prints each side's geometric mean of CPU µs per oracle sample,
 their ratio (head / base), how many trials the head took less CPU time in,
 and whether the two sides agree on a SHA-256 over every trial's (status,
 total_samples, repr(path_length), repr(delta_useful_ratio), path bytes).
-The last line gives the same over every cell.  Several workloads may be
-named, after one --workload or each after its own; each gets its own table.
-Exits 1 when any digests differ.
+The overall line gives the same over every cell, and the control line the
+copy's ratio (copy / base), its wins and its digest agreement with the base.
+Several workloads may be named, after one --workload or each after its own;
+each gets its own table.  Exits 1 when any digests differ, the control's
+included.
 
 `--json PATH` also writes the report as JSON: each checkout's commit (and
 whether its `src/` differs from it), the machine, the command, and per
 workload and cell each side's geometric means of CPU and of wall µs per
-sample, the CPU ratio, the head's wins, n and digest agreement.  Committed
-as `BENCH_*.json`, such a file is a perf change's before-and-after
-evidence; `tests/test_ab_inprocess.py` checks every committed one.  Files
-written before the tool timed CPU time hold one wall-time
-`{base,head}_us_per_sample` per cell instead, and their ratio is wall time.
+sample, the CPU ratio, the head's wins, n and digest agreement, and per
+workload the overall and control figures.  Committed as `BENCH_*.json`, such
+a file is a perf change's before-and-after evidence;
+`tests/test_ab_inprocess.py` checks every committed one.  Files written
+before the tool timed the control have no `control` entry, and those written
+before it timed CPU time hold one wall-time `{base,head}_us_per_sample` per
+cell instead, and their ratio is wall time.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import shlex
@@ -58,7 +67,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 50_000
-SIDES = ("base", "head")
+SIDES = ("base", "head", "control")
+# the order of the sides in a trial cycles through these, so each side runs
+# in each position, and before and after each other side, equally often
+ORDERS = list(itertools.permutations(SIDES))
 
 
 def load_perfbench():
@@ -154,7 +166,8 @@ def main(argv=None) -> int:
     reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = {side: Side(import_copy(getattr(args, side).resolve(), f"ab_{side}", Path(tmp)),
+        checkouts = {"base": args.base, "head": args.head, "control": args.base}
+        sides = {side: Side(import_copy(checkouts[side].resolve(), f"ab_{side}", Path(tmp)),
                             scene_names)
                  for side in SIDES}
         for name in args.workload:
@@ -176,15 +189,14 @@ def main(argv=None) -> int:
 
 def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: int,
             rounds: int) -> dict:
-    """Time every (cell, seed) trial on both sides, print the workload's
+    """Time every (cell, seed) trial on each side, print the workload's
     table and return it as the JSON report's workload entry."""
     best = {}  # (side, cell, seed) -> [CPU seconds, wall seconds, samples, digest]
     agree = True
     for r in range(rounds):
         for c, (planner, scene_name) in enumerate(cells):
             for seed in range(n_seeds):
-                order = SIDES if (r + c + seed) % 2 == 0 else SIDES[::-1]
-                for side in order:
+                for side in ORDERS[(r + c + seed) % len(ORDERS)]:
                     cpu, wall, samples, digest = sides[side].trial(planner, scene_name, seed)
                     key = (side, c, seed)
                     if key not in best:
@@ -200,6 +212,7 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
     print(f"workload {workload}  seeds 0-{n_seeds - 1}  best of {rounds}  budget {BUDGET}  CPU time")
     print(f"{'cell':<32} {'base us/s':>10} {'head us/s':>10} {'head/base':>10} {'head won':>9} digests")
     all_ratios, all_wins, rows = [], 0, []
+    control_ratios, control_wins, control_agree = [], 0, True
     for c, (planner, scene_name) in enumerate(cells):
         seeds = range(n_seeds)
         ratios = [us("head", c, s) / us("base", c, s) for s in seeds]
@@ -208,8 +221,11 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
         agree &= same
         all_ratios += ratios
         all_wins += wins
+        control_ratios += [us("control", c, s) / us("base", c, s) for s in seeds]
+        control_wins += sum(best["control", c, s][0] < best["base", c, s][0] for s in seeds)
+        control_agree &= all(best["control", c, s][3] == best["base", c, s][3] for s in seeds)
         row = {"planner": planner, "scene": scene_name}
-        for side in SIDES:
+        for side in ("base", "head"):
             row[f"{side}_cpu_us_per_sample"] = geomean(us(side, c, s) for s in seeds)
             row[f"{side}_wall_us_per_sample"] = geomean(us(side, c, s, 1) for s in seeds)
         row.update(ratio=geomean(ratios), head_wins=wins, n=n_seeds, digests_agree=same)
@@ -217,11 +233,16 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
         print(f"{planner + ' ' + scene_name:<32} {row['base_cpu_us_per_sample']:>10.2f} "
               f"{row['head_cpu_us_per_sample']:>10.2f} {row['ratio']:>10.3f} "
               f"{wins:>5}/{n_seeds:<3} {'same' if same else 'DIFFER'}")
+    control = {"ratio": geomean(control_ratios), "wins": control_wins,
+               "n": len(control_ratios), "digests_agree": control_agree}
+    agree &= control_agree
     overall = {"ratio": geomean(all_ratios), "head_wins": all_wins, "n": len(all_ratios),
                "digests_agree": agree}
     print(f"overall head/base {overall['ratio']:.3f}  head won {all_wins}/{len(all_ratios)}  "
           f"digests {'same' if agree else 'DIFFER'}")
-    return {"cells": rows, "overall": overall}
+    print(f"control copy/base {control['ratio']:.3f}  copy won {control_wins}/{control['n']}  "
+          f"digests {'same' if control_agree else 'DIFFER'}")
+    return {"cells": rows, "overall": overall, "control": control}
 
 
 if __name__ == "__main__":
