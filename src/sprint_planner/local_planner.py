@@ -234,9 +234,9 @@ def grad_g3(q_x: Config, q_c: Config, obs, lam: float,
 
 
 def _repulsion_weight(n2: float, k: int, four_lam2: float) -> float:
-    """Weight of one ahead point at squared separation n2 among k points:
-    psi3,2 / k times its unit direction, which for n2 > 0 is its residual
-    over the separation."""
+    """Weight of one of k points ahead, at squared separation n2 from the
+    line: psi_3,2 / k, over the separation when n2 > 0, so that it also
+    scales the point's residual to a unit direction."""
     n = math.sqrt(n2)
     psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
     return psi32 / k if n == 0.0 else psi32 / (n * k)

@@ -133,9 +133,10 @@ class TestGradG3MatchesReference:
 
 
 def _bit_cases(d, k, rng):
-    """(label, points ahead, (q_x, q_c, lam, obs)) cases on a dyadic q_x and q_c - q_x, with
-    no, one and several of k points ahead of q_x, and the same with one
-    ahead point exactly on the line, which draws a random direction."""
+    """(label, points ahead, (q_x, q_c, lam, obs)) cases on a dyadic q_x
+    and q_c - q_x, with no, one and several of k points ahead of q_x, and
+    the same with one ahead point exactly on the line, which draws a random
+    direction."""
     lam = 0.05
     q_x = rng.integers(0, 32, d) / 64.0
     dv = rng.integers(-4, 5, d) / 64.0
@@ -235,7 +236,7 @@ class TestGradG3BitIdentical:
 
     @pytest.mark.parametrize("fault", ["no /k", "dot", "no +0"])
     def test_cases_catch_a_faulty_shortcut(self, fault):
-        # only one-point-ahead cases can differ; "no /k" only when k > 1
+        # each fault is in the one-point-ahead shortcut, so only its cases differ
         diffs = _differences(_one_ahead_with(fault))
         assert diffs
         assert all("1 ahead" in label or "signed zero" in label for label in diffs)
