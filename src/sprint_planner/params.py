@@ -48,6 +48,9 @@ class SprintParams:
                      "w1_l", "w2_l", "w3_l", "c_base", "sigma_slack", "n_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # the culling gate divides by 2 c^2 for a c >= c_base
+        if 2.0 * self.c_base * self.c_base == 0.0:
+            raise ValueError(f"c_base {self.c_base!r} is too small: 2 * c_base**2 underflows to 0")
         for name in ("eta", "eps_prog"):
             value = getattr(self, name)
             if value is not None and not value > 0:

@@ -5,8 +5,8 @@ The library runs the fast forms: `_PairSelector` for region selection,
 `bench.delta_useful_ratio`, the early-exit `CollisionOracle.is_free` and the
 cached `LocalTree.cp_chain`.  The plain versions here recompute everything
 from scratch and are what the equivalence tests compare those against;
-`grad_g3_all_rows` is the one kept for bit identity rather than as a plain
-version.
+`grad_g3_all_rows` and `local_edge_per_call` are kept for bit identity
+rather than as plain versions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sprint_planner.geometry import Config, _check_dims, dist
+from sprint_planner.geometry import Config, _check_dims, dist, unit
+from sprint_planner.local_planner import grad_g2
 from sprint_planner.params import SprintParams
 from sprint_planner.world import Box, Scene, Sphere
 
@@ -86,6 +87,41 @@ def grad_g3_all_rows(q_x: Config, q_c: Config, obs, lam: float,
         else:
             weights[i] = psi32 / (n * k)
     return np.dot(weights, res)
+
+
+def local_edge_per_call(node_id: int, tree, obs, rng: np.random.Generator) -> Config:
+    """`local_planner.local_edge` as it was before it kept values at the scope
+    where they hold: every call forms the extend node's heading and the step
+    weights, draws the jitter by `rng.uniform`, and every ascent iteration
+    forms the offsets obs - q_x again, inside `grad_g3_all_rows`.
+    Fixed-seed trajectories were recorded with it, so local_edge must match
+    it byte for byte."""
+    params = tree.params
+    lam = params.lam
+    q_x = tree.points[node_id]
+    if node_id == 0:
+        q_p = tree.root - lam * unit(tree.goal - tree.root)
+    else:
+        q_p = tree.points[tree.parents[node_id]]
+    step = q_x - q_p
+    g1 = unit(step)
+    repel = len(obs) > 0
+    if repel:
+        step = step + rng.uniform(-lam / 100.0, lam / 100.0, size=q_x.shape[0])
+    q_c = q_x + step
+    eta = params.eta_eff
+    pull = (eta * params.w1_l) * g1
+    eta_w2, eta_w3, goal = eta * params.w2_l, eta * params.w3_l, tree.goal
+    for _ in range(params.ascent_iters):
+        step = step + pull + eta_w2 * grad_g2(q_c, goal, lam)
+        if repel:
+            step = step + eta_w3 * grad_g3_all_rows(q_x, q_c, obs, lam, rng)
+        n = math.sqrt(step.dot(step))
+        if n == 0.0:
+            step, n = g1, 1.0
+        step = (lam / n) * step
+        q_c = q_x + step
+    return q_c
 
 
 @dataclass

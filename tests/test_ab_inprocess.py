@@ -5,6 +5,7 @@ the tool's `--json` output kept as a perf change's evidence."""
 
 import importlib.util
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -64,11 +65,33 @@ def test_equal_digests_report_ratio_and_wins(ab, capsys):
     # per seed head/base 0.5, 2, 0.5: geometric mean 0.5 ** (1/3)
     for line, (planner, scene) in zip(lines[2:4], CELLS):
         assert line.split() == [planner, scene, "4.00", "3.17", "0.794", "2/3", "same"]
-    assert lines[4] == "overall head/base 0.794  head won 4/6  digests same"
-    # per seed copy/base 1, 0.5, 1 in each cell
-    assert lines[5] == "control copy/base 0.794  copy won 2/6  digests same"
+    # log-ratios -ln 2, ln 2, -ln 2 in each cell: the bootstrap means lie on
+    # a lattice of ln 2 / 6 steps, so the interval ends are exact powers of 2;
+    # the sign test counts 4 wins against 2 losses
+    assert lines[4] == ("overall head/base 0.794  interval 0.500-1.260  sign p 0.69  "
+                        "head won 4/6  digests same")
+    assert report["overall"]["ratio_interval"] == pytest.approx([0.5, 2 ** (1 / 3)])
+    assert report["overall"]["sign_p"] == 2 * (1 + 6 + 15) / 2 ** 6
+    # per seed copy/base 1, 0.5, 1 in each cell: 2 wins and 4 ties
+    assert lines[5] == ("control copy/base 0.794  interval 0.630-1.000  sign p 0.5  "
+                        "copy won 2/6  digests same")
     assert report["control"] == {"ratio": pytest.approx(0.5 ** (1 / 3)), "wins": 2, "n": 6,
-                                 "digests_agree": True}
+                                 "digests_agree": True,
+                                 "ratio_interval": pytest.approx([2 ** (-2 / 3), 1.0]),
+                                 "sign_p": 0.5}
+    # the resampling seed is fixed: the same timings give the same interval
+    assert _compare(ab)["overall"]["ratio_interval"] == report["overall"]["ratio_interval"]
+
+
+def test_sign_test_is_exact_and_two_sided(ab):
+    assert ab.sign_test_p(9, 1) == ab.sign_test_p(1, 9) == 2 * (1 + 10) / 2 ** 10
+    assert ab.sign_test_p(20, 20) == ab.sign_test_p(0, 0) == 1.0
+    assert ab.sign_test_p(40, 0) == 2 / 2 ** 40
+
+
+def test_interval_of_equal_log_ratios_is_their_ratio(ab):
+    assert ab.paired_summary([math.log(0.9)] * 5) == (pytest.approx([0.9, 0.9]), 2 / 2 ** 5)
+    assert ab.paired_summary([0.0, 0.0]) == ([1.0, 1.0], 1.0)
 
 
 def test_one_differing_digest_fails(ab, capsys):
@@ -127,15 +150,31 @@ WALL_CELL_KEYS = {"planner", "scene", "base_us_per_sample", "head_us_per_sample"
                   "head_wins", "n", "digests_agree"}
 OVERALL_KEYS = {"ratio", "head_wins", "n", "digests_agree"}
 CONTROL_KEYS = {"ratio", "wins", "n", "digests_agree"}
+# files written before the tool reported the paired interval lack these
+INTERVAL_KEYS = {"ratio_interval", "sign_p"}
 # files written before the tool timed a copy of the base have no "control"
 WORKLOAD_KEYS = ({"cells", "overall", "control"}, {"cells", "overall"})
 
 
+def _summary_keys_ok(entry, keys) -> bool:
+    """entry has keys, or keys and a well-formed paired interval: two
+    positive finite ends, lo <= hi, and a sign test p value in [0, 1]."""
+    if not isinstance(entry, dict) or set(entry) not in (keys, keys | INTERVAL_KEYS):
+        return False
+    if "ratio_interval" not in entry:
+        return True
+    ends, p = entry["ratio_interval"], entry["sign_p"]
+    return (isinstance(ends, list) and len(ends) == 2
+            and all(isinstance(x, float) and 0.0 < x < math.inf for x in ends)
+            and ends[0] <= ends[1] and isinstance(p, float) and 0.0 <= p <= 1.0)
+
+
 def bench_file_problems(data) -> list[str]:
     """What keeps data from being a `--json` report: its key sets, the types
-    of each side's git state, and digest agreement that holds at the top
-    level only if it holds in every workload, and in a workload only if in
-    every cell and in its control, if it has one."""
+    of each side's git state, the paired intervals where present, and
+    digest agreement that holds at the top level only if it holds in every
+    workload, and in a workload only if in every cell and in its control,
+    if it has one."""
     if not isinstance(data, dict) or set(data) != TOP_KEYS:
         return [f"top-level keys {sorted(data) if isinstance(data, dict) else data!r}"]
     problems = []
@@ -153,9 +192,8 @@ def bench_file_problems(data) -> list[str]:
                 and isinstance(wl["cells"], list) and wl["cells"]
                 and all(isinstance(c, dict) and set(c) in (CELL_KEYS, WALL_CELL_KEYS)
                         for c in wl["cells"])
-                and isinstance(wl["overall"], dict) and set(wl["overall"]) == OVERALL_KEYS
-                and (isinstance(wl.get("control"), dict) and set(wl["control"]) == CONTROL_KEYS
-                     or "control" not in wl)):
+                and _summary_keys_ok(wl["overall"], OVERALL_KEYS)
+                and (_summary_keys_ok(wl.get("control"), CONTROL_KEYS) or "control" not in wl)):
             problems.append(f"workload {name}: keys")
             continue
         cells_agree = all(c["digests_agree"] is True for c in wl["cells"])
@@ -200,7 +238,9 @@ def test_json_report_is_a_well_formed_bench_file(ab, tmp_path, monkeypatch, caps
     assert cell["base_cpu_us_per_sample"] == pytest.approx(4.0)
     assert cell["base_wall_us_per_sample"] == pytest.approx(8.0)
     assert data["workloads"]["sprint_highdim"]["control"] == {
-        "ratio": 1.0, "wins": 0, "n": 4, "digests_agree": True}
+        "ratio": 1.0, "wins": 0, "n": 4, "digests_agree": True, "ratio_interval": [1.0, 1.0],
+        "sign_p": 1.0}
+    assert "ratio_interval" in data["workloads"]["paper_2d"]["overall"]
     assert capsys.readouterr().out.splitlines()[0].startswith("machine python ")
 
 
@@ -228,6 +268,16 @@ def test_bench_file_check_finds_problems():
     workload["control"] = {"ratio": 1.0}
     assert bench_file_problems(data) == ["workload w: keys"]
     del workload["control"]
+    # a paired interval, when present, is two ordered positive ends and a p value
+    overall.update(ratio_interval=[0.9, 1.1], sign_p=0.5)
+    assert bench_file_problems(data) == []
+    for bad in ({"ratio_interval": [1.1, 0.9]}, {"ratio_interval": [0.0, 1.1]},
+                {"ratio_interval": [0.9]}, {"sign_p": 1.5}, {"sign_p": None}):
+        assert bench_file_problems(data | {"workloads": {"w": {
+            "cells": [cell], "overall": overall | bad}}}) == ["workload w: keys"], bad
+    del overall["sign_p"]
+    assert bench_file_problems(data) == ["workload w: keys"]
+    del overall["ratio_interval"]
     # a cell of the wall-time format is valid; one with neither key set is not
     cell.clear()
     cell.update({k: 1 for k in WALL_CELL_KEYS}, digests_agree=True)

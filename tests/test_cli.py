@@ -255,6 +255,8 @@ class TestPlanCommand:
         ({"lam": [0] * 10 ** 6}, "'lam' must be float, got [0, 0, 0, 0, 0, 0, ...]"),
         # the culling gate and the budget end every local search
         ({"max_local_samples": 2000}, "unknown params field 'max_local_samples'"),
+        # 2 * c_base**2 underflows to 0, which the culling gate divides by
+        ({"c_base": 1e-200}, "c_base"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -332,6 +334,7 @@ class TestBenchCommand:
         # a string is the file's text
         pytest.param(DEEP, "grid.json: JSON nested too deeply", id="deeply-nested"),
         ({"params": {"max_local_samples": 2000}}, "unknown params field 'max_local_samples'"),
+        ({"params": {"c_base": 1e-200}}, "c_base"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"

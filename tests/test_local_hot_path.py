@@ -1,8 +1,9 @@
 """Equivalence checks for the local layer's hot path: the array repulsion
 against the per-point loop it replaced and, byte for byte, against the
-all-rows product its shortcuts skip, the culling gate against its formula
-and against pinned boundary stall counts, and each checkpoint's collision
-points against a model bounded deque."""
+all-rows product its shortcuts skip, the edge step byte for byte against
+the form that recomputed every value on every call, the culling gate
+against its formula and against pinned boundary stall counts, and each
+checkpoint's collision points against a model bounded deque."""
 
 import math
 from collections import deque
@@ -11,13 +12,15 @@ import numpy as np
 import pytest
 
 from sprint_planner.bench import SPRINT_VARIANTS
+from sprint_planner.geometry import unit
 from sprint_planner.local_planner import (LocalTree, backprop_collision,
                                           collision_points, grad_g3,
-                                          promote_checkpoint, subtree_sigma,
-                                          valid_node)
+                                          local_edge, promote_checkpoint,
+                                          subtree_sigma, valid_node)
 from sprint_planner.params import SprintParams
 
-from reference import Region, grad_g3_all_rows, hvs, proj, proj_scalar
+from reference import (Region, grad_g3_all_rows, hvs, local_edge_per_call,
+                       proj, proj_scalar)
 
 
 def grad_g3_reference(q_x, q_c, obs, lam, rng):
@@ -98,7 +101,7 @@ def _assert_same(q_x, q_c, lam, obs, seed):
     term magnitude (the terms can cancel, so the result's own norm is no
     scale), and both leave the rng in the same state."""
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = grad_g3(q_x, q_c, obs, lam, rng_new)
+    got = grad_g3(q_x, q_c, obs - q_x, lam, rng_new)
     want = grad_g3_reference(q_x, q_c, list(obs), lam, rng_ref)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     scale = np.mean([np.linalg.norm(grad_g3_reference(q_x, q_c, [q], lam,
@@ -123,13 +126,13 @@ class TestGradG3MatchesReference:
             _assert_same(q_x, q_c, lam, obs, seed=k)
             # the on-line points draw, so a fresh rng ends in a moved state
             moved = np.random.default_rng(k)
-            grad_g3(q_x, q_c, obs, lam, moved)
+            grad_g3(q_x, q_c, obs - q_x, lam, moved)
             assert moved.bit_generator.state != np.random.default_rng(k).bit_generator.state
 
     def test_degenerate_segment_rejected(self):
         q = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
-            grad_g3(q, q.copy(), np.array([[0.1, 0.1]]), 0.1, np.random.default_rng(0))
+            grad_g3(q, q.copy(), np.array([[0.1, 0.1]]) - q, 0.1, np.random.default_rng(0))
 
 
 def _bit_cases(d, k, rng):
@@ -191,7 +194,7 @@ def _differences(g3):
     out = []
     for seed, (label, _, (q_x, q_c, lam, obs)) in enumerate(_all_cases()):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = g3(q_x, q_c, obs, lam, rng_got)
+        got = g3(q_x, q_c, obs - q_x, lam, rng_got)
         want = grad_g3_all_rows(q_x, q_c, obs, lam, rng_want)
         if got.tobytes() != want.tobytes() or rng_got.random() != rng_want.random():
             out.append(label)
@@ -202,17 +205,15 @@ def _one_ahead_with(fault):
     """grad_g3 with its one-point-ahead shortcut formed with one fault:
     "no /k" leaves the mean's 1/k out of the weight, "dot" takes the
     separation by r.dot(r), "no +0" returns w * r as it is."""
-    def g3(q_x, q_c, obs, lam, rng):
-        obs = np.asarray(obs, dtype=np.float64)
+    def g3(q_x, q_c, rel, lam, rng):
         dv = q_c - q_x
-        rel = obs - q_x
         s = rel.dot(dv) / float(dv.dot(dv))
         ahead = [i for i, t in enumerate(s.tolist()) if not t < 0.0]
         if len(ahead) != 1:
-            return grad_g3(q_x, q_c, obs, lam, rng)
+            return grad_g3(q_x, q_c, rel, lam, rng)
         r = s[ahead[0]] * dv - rel[ahead[0]]
         n = math.sqrt(float(r.dot(r)) if fault == "dot" else float(np.einsum("j,j->", r, r)))
-        k = 1 if fault == "no /k" else len(obs)
+        k = 1 if fault == "no /k" else len(rel)
         psi32 = 5.0 * math.exp(-(n * n) / (4.0 * lam * lam))
         if n == 0.0:
             direction = rng.normal(size=dv.shape[0])
@@ -240,6 +241,82 @@ class TestGradG3BitIdentical:
         diffs = _differences(_one_ahead_with(fault))
         assert diffs
         assert all("1 ahead" in label or "signed zero" in label for label in diffs)
+
+
+def _edge_differences(d, k, seed):
+    """Labels of the extensions where local_edge and the per-call form differ
+    in the bytes of the candidate or in the generator's next draw.  One
+    tree, with random weights and one or two ascent iterations, has k
+    collision points at its root; the root (whose predecessor is virtual)
+    and a node two edges down are each extended twice, the second time from
+    the heading the first one cached; then collisions at the node add
+    points, and a checkpoint promoted between the two gives the node points
+    of its own."""
+    rng = np.random.default_rng(seed)
+    p = SprintParams(lam=float(rng.uniform(0.02, 0.2)), k_obs=10,
+                     eta=None if rng.random() < 0.5 else float(rng.uniform(0.01, 0.1)),
+                     w1_l=float(rng.uniform(0.5, 2.0)), w2_l=float(rng.uniform(0.5, 2.0)),
+                     w3_l=float(rng.uniform(0.5, 2.0)), ascent_iters=int(rng.integers(1, 3)))
+    tree = LocalTree(rng.uniform(0, 1, d), rng.uniform(0, 1, d), p)
+
+    def child(parent):
+        return tree.add(tree.points[parent] + p.lam * unit(rng.normal(size=d)), parent)
+
+    def near(node):
+        return tree.points[node] + rng.normal(scale=2.0 * p.lam, size=d)
+
+    a = child(0)
+    b = child(a)
+    for _ in range(k):
+        backprop_collision(tree, 0, near(0))
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = []
+
+    def extend(node, label):
+        obs = collision_points(node, tree)
+        got = local_edge(node, tree, obs, rng_got)
+        want = local_edge_per_call(node, tree, obs, rng_want)
+        if got.tobytes() != want.tobytes() or rng_got.random() != rng_want.random():
+            out.append(f"d={d} k={k} {label}")
+        return got
+
+    extend(0, "root")
+    extend(0, "root again")
+    extend(b, "node")
+    q_c = extend(b, "node again")
+    backprop_collision(tree, b, q_c)
+    extend(b, "node after a collision")
+    extend(0, "root after a collision")
+    child(a)
+    promote_checkpoint(tree, a)
+    extend(b, "node under an empty checkpoint")
+    for i in range(3):
+        backprop_collision(tree, b, near(b))
+        extend(b, f"node after collision {i + 2}")
+        extend(0, f"root after collision {i + 2}")
+    return out
+
+
+class TestLocalEdgeBitIdentical:
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_matches_per_call_formula(self, d):
+        diffs = []
+        for k in range(11):
+            diffs += _edge_differences(d, k, seed=100 * d + k)
+        assert diffs == []
+
+    def test_heading_is_cached_at_the_first_extension(self):
+        tree = LocalTree(np.zeros(2), np.ones(2), SprintParams())
+        nid = tree.add(np.array([0.05, 0.0]), 0)
+        assert tree.headings == {}
+        local_edge(nid, tree, collision_points(nid, tree), np.random.default_rng(0))
+        heading = tree.headings[nid]
+        step, g1, pull = heading
+        np.testing.assert_array_equal(step, [0.05, 0.0])
+        np.testing.assert_array_equal(g1, [1.0, 0.0])
+        local_edge(nid, tree, collision_points(nid, tree), np.random.default_rng(0))
+        assert tree.headings[nid] is heading
+        assert list(tree.headings) == [nid]
 
 
 def _gate_params():

@@ -266,7 +266,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         q_x = np.zeros(2)
         q_c = np.array([0.1, 0.0])
-        g = grad_g3(q_x, q_c, [q_c.copy()], lam=0.1, rng=rng)
+        g = grad_g3(q_x, q_c, [q_c - q_x], lam=0.1, rng=rng)
         assert np.linalg.norm(g) == pytest.approx(5.0, abs=1e-9)
 
     def test_repulsion_gates_out_points_behind(self):
@@ -274,7 +274,7 @@ class TestGradients:
         q_x = np.zeros(2)
         q_c = np.array([0.1, 0.0])
         behind = np.array([-0.2, 0.05])
-        g = grad_g3(q_x, q_c, [behind], lam=0.1, rng=rng)
+        g = grad_g3(q_x, q_c, [behind - q_x], lam=0.1, rng=rng)
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_repulsion_pushes_away_from_obstacle(self):
@@ -282,7 +282,7 @@ class TestGradients:
         q_x = np.zeros(2)
         q_c = np.array([0.1, 0.0])
         obs = np.array([0.05, -0.01])  # just below the segment
-        g = grad_g3(q_x, q_c, obs=[obs], lam=0.1, rng=rng)
+        g = grad_g3(q_x, q_c, rel=[obs - q_x], lam=0.1, rng=rng)
         assert g[1] > 0.0
 
     def test_repulsion_requires_observations(self):
@@ -294,8 +294,8 @@ class TestGradients:
         rng = np.random.default_rng(0)
         q_x = np.zeros(2)
         q_c = np.array([0.1, 0.0])
-        one = grad_g3(q_x, q_c, [np.array([0.05, -0.01])], lam=0.1, rng=rng)
-        both = grad_g3(q_x, q_c, [np.array([0.05, -0.01]), np.array([-0.5, 0.0])],
+        one = grad_g3(q_x, q_c, [np.array([0.05, -0.01]) - q_x], lam=0.1, rng=rng)
+        both = grad_g3(q_x, q_c, np.array([[0.05, -0.01], [-0.5, 0.0]]) - q_x,
                        lam=0.1, rng=rng)
         np.testing.assert_allclose(both, one / 2.0)
 

@@ -53,6 +53,7 @@ class TestSprintParams:
         {"eps_prog": -1.0},
         {"eps_prog": math.nan},
         {"lam": math.nan, "c_base": math.nan, "eps_prog": -1.0},
+        {"c_base": 1e-200},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

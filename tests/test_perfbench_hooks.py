@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sprint_planner import local_planner
 from sprint_planner.bench import run_trial
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
@@ -49,6 +50,23 @@ def test_traced_sprint_trial_reaches_the_global_and_local_hooks(tracing):
                   "local_planner.grad_g3", "local_planner.backprop"):
         assert calls.get(layer, 0) >= 1, layer
     assert calls.get("world.is_free", 0) == rec.total_samples
+
+
+def test_grad_g3_obs_counter_is_the_length_of_the_third_argument(tracing, monkeypatch):
+    # the tracer's counter takes len() of grad_g3's third argument, the
+    # collision points' offsets; the wrapper takes them by position only, so
+    # a call that passes them by keyword fails here as it does in the tracer
+    lengths = []
+    grad_g3 = local_planner.grad_g3
+
+    def counted(q_x, q_c, rel, lam, rng, /):
+        lengths.append(len(rel))
+        return grad_g3(q_x, q_c, rel, lam, rng)
+
+    monkeypatch.setattr(local_planner, "grad_g3", counted)
+    _, calls, counters = _traced_trial(tracing, "sprint", "narrow_passage_2d")
+    assert calls["local_planner.grad_g3"] == len(lengths) > 0
+    assert counters["local_planner.grad_g3.obs"] == sum(lengths) > len(lengths)
 
 
 @pytest.mark.parametrize("planner", ["rrt", "rrt-connect"])

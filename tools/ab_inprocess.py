@@ -24,6 +24,12 @@ and whether the two sides agree on a SHA-256 over every trial's (status,
 total_samples, repr(path_length), repr(delta_useful_ratio), path bytes).
 The overall line gives the same over every cell, and the control line the
 copy's ratio (copy / base), its wins and its digest agreement with the base.
+Both lines follow the ratio with its paired interval and a sign test: a 95%
+percentile bootstrap of the mean per-trial log-ratio, resampled from a fixed
+seed so that the same timings give the same interval, and the exact
+two-sided sign test's p value over the trials that did not tie.  A head
+faster beyond the tool's own lean has an interval that excludes 1 while the
+control's includes it.
 Several workloads may be named, after one --workload or each after its own;
 each gets its own table.  Exits 1 when any digests differ, the control's
 included.
@@ -32,12 +38,14 @@ included.
 whether its `src/` differs from it), the machine, the command, and per
 workload and cell each side's geometric means of CPU and of wall µs per
 sample, the CPU ratio, the head's wins, n and digest agreement, and per
-workload the overall and control figures.  Committed as `BENCH_*.json`, such
-a file is a perf change's before-and-after evidence;
-`tests/test_ab_inprocess.py` checks every committed one.  Files written
-before the tool timed the control have no `control` entry, and those written
-before it timed CPU time hold one wall-time `{base,head}_us_per_sample` per
-cell instead, and their ratio is wall time.
+workload the overall and control figures, each with its `ratio_interval`
+and `sign_p`.  Committed as `BENCH_*.json`, such a file is a perf change's
+before-and-after evidence; `tests/test_ab_inprocess.py` checks every
+committed one.  Files written before the tool reported intervals have no
+`ratio_interval` or `sign_p`, those written before it timed the control have
+no `control` entry, and those written before it timed CPU time hold one
+wall-time `{base,head}_us_per_sample` per cell instead, and their ratio is
+wall time.
 """
 
 from __future__ import annotations
@@ -65,12 +73,16 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 50_000
 SIDES = ("base", "head", "control")
 # the order of the sides in a trial cycles through these, so each side runs
 # in each position, and before and after each other side, equally often
 ORDERS = list(itertools.permutations(SIDES))
+BOOTSTRAP_SEED = 0
+BOOTSTRAP_RESAMPLES = 10_000
 
 
 def load_perfbench():
@@ -131,6 +143,33 @@ class Side:
 
 def geomean(values) -> float:
     return math.exp(statistics.fmean(math.log(v) for v in values))
+
+
+def ratio_interval(log_ratios) -> list[float]:
+    """95% percentile bootstrap interval of the geometric-mean ratio, from
+    BOOTSTRAP_RESAMPLES resamples of the paired per-trial log-ratios drawn
+    with the fixed BOOTSTRAP_SEED."""
+    logs = np.asarray(log_ratios, dtype=np.float64)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    means = logs[rng.integers(0, len(logs), size=(BOOTSTRAP_RESAMPLES, len(logs)))].mean(axis=1)
+    lo, hi = np.quantile(means, [0.025, 0.975])
+    return [math.exp(lo), math.exp(hi)]
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign test: the probability, under a fair coin, of a
+    split of wins + losses trials at least as uneven as this one."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
+def paired_summary(log_ratios) -> tuple[list[float], float]:
+    """(ratio_interval, sign_p) of paired per-trial log-ratios; a negative
+    one is a win for the side timed against the base, zero a tie."""
+    wins = sum(x < 0.0 for x in log_ratios)
+    losses = sum(x > 0.0 for x in log_ratios)
+    return ratio_interval(log_ratios), sign_test_p(wins, losses)
 
 
 def git_state(checkout: Path) -> dict:
@@ -238,11 +277,18 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
     agree &= control_agree
     overall = {"ratio": geomean(all_ratios), "head_wins": all_wins, "n": len(all_ratios),
                "digests_agree": agree}
-    print(f"overall head/base {overall['ratio']:.3f}  head won {all_wins}/{len(all_ratios)}  "
-          f"digests {'same' if agree else 'DIFFER'}")
-    print(f"control copy/base {control['ratio']:.3f}  copy won {control_wins}/{control['n']}  "
-          f"digests {'same' if control_agree else 'DIFFER'}")
+    for entry, ratios in ((overall, all_ratios), (control, control_ratios)):
+        entry["ratio_interval"], entry["sign_p"] = paired_summary([math.log(r) for r in ratios])
+    print(f"overall head/base {overall['ratio']:.3f}  {_interval_text(overall)}  "
+          f"head won {all_wins}/{len(all_ratios)}  digests {'same' if agree else 'DIFFER'}")
+    print(f"control copy/base {control['ratio']:.3f}  {_interval_text(control)}  "
+          f"copy won {control_wins}/{control['n']}  digests {'same' if control_agree else 'DIFFER'}")
     return {"cells": rows, "overall": overall, "control": control}
+
+
+def _interval_text(entry: dict) -> str:
+    lo, hi = entry["ratio_interval"]
+    return f"interval {lo:.3f}-{hi:.3f}  sign p {entry['sign_p']:.2g}"
 
 
 if __name__ == "__main__":
