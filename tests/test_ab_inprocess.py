@@ -84,14 +84,17 @@ def test_equal_digests_report_ratio_and_wins(ab, capsys):
 
 
 def test_sign_test_is_exact_and_two_sided(ab):
-    assert ab.sign_test_p(9, 1) == ab.sign_test_p(1, 9) == 2 * (1 + 10) / 2 ** 10
-    assert ab.sign_test_p(20, 20) == ab.sign_test_p(0, 0) == 1.0
-    assert ab.sign_test_p(40, 0) == 2 / 2 ** 40
+    assert ab.sign_test_p([-0.1] * 9 + [0.2]) == ab.sign_test_p([0.1] * 9 + [-0.2]) \
+        == 2 * (1 + 10) / 2 ** 10
+    # ties count for neither side
+    assert ab.sign_test_p([-0.1] * 9 + [0.2] + [0.0] * 5) == 2 * (1 + 10) / 2 ** 10
+    assert ab.sign_test_p([-0.1, 0.1] * 20) == ab.sign_test_p([0.0, 0.0]) == 1.0
+    assert ab.sign_test_p([-0.1] * 40) == 2 / 2 ** 40
 
 
 def test_interval_of_equal_log_ratios_is_their_ratio(ab):
-    assert ab.paired_summary([math.log(0.9)] * 5) == (pytest.approx([0.9, 0.9]), 2 / 2 ** 5)
-    assert ab.paired_summary([0.0, 0.0]) == ([1.0, 1.0], 1.0)
+    assert ab.ratio_interval([math.log(0.9)] * 5) == pytest.approx([0.9, 0.9])
+    assert ab.ratio_interval([0.0, 0.0]) == [1.0, 1.0]
 
 
 def test_one_differing_digest_fails(ab, capsys):

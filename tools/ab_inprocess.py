@@ -156,20 +156,14 @@ def ratio_interval(log_ratios) -> list[float]:
     return [math.exp(lo), math.exp(hi)]
 
 
-def sign_test_p(wins: int, losses: int) -> float:
-    """Exact two-sided sign test: the probability, under a fair coin, of a
-    split of wins + losses trials at least as uneven as this one."""
-    n = wins + losses
-    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
-    return min(1.0, 2.0 * tail / 2 ** n)
-
-
-def paired_summary(log_ratios) -> tuple[list[float], float]:
-    """(ratio_interval, sign_p) of paired per-trial log-ratios; a negative
-    one is a win for the side timed against the base, zero a tie."""
+def sign_test_p(log_ratios) -> float:
+    """Exact two-sided sign test of paired per-trial log-ratios, ties left
+    out: the probability, under a fair coin, of a split of wins (negative)
+    and losses (positive) at least as uneven as this one."""
     wins = sum(x < 0.0 for x in log_ratios)
     losses = sum(x > 0.0 for x in log_ratios)
-    return ratio_interval(log_ratios), sign_test_p(wins, losses)
+    tail = sum(math.comb(wins + losses, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** (wins + losses))
 
 
 def git_state(checkout: Path) -> dict:
@@ -278,7 +272,8 @@ def compare(sides: dict, workload: str, cells: list[tuple[str, str]], n_seeds: i
     overall = {"ratio": geomean(all_ratios), "head_wins": all_wins, "n": len(all_ratios),
                "digests_agree": agree}
     for entry, ratios in ((overall, all_ratios), (control, control_ratios)):
-        entry["ratio_interval"], entry["sign_p"] = paired_summary([math.log(r) for r in ratios])
+        logs = [math.log(r) for r in ratios]
+        entry.update(ratio_interval=ratio_interval(logs), sign_p=sign_test_p(logs))
     print(f"overall head/base {overall['ratio']:.3f}  {_interval_text(overall)}  "
           f"head won {all_wins}/{len(all_ratios)}  digests {'same' if agree else 'DIFFER'}")
     print(f"control copy/base {control['ratio']:.3f}  {_interval_text(control)}  "
