@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .geometry import Config, dist
-from .global_planner import PlanResult, Tree, check_endpoints
-from .world import BudgetExhausted, CollisionOracle
+from .global_planner import PlanResult, Tree, run_search
+from .world import CollisionOracle
 
 # Random targets drawn ahead per tree at once.  scipy's per-call overhead
 # dominates a single kd-tree query, so answering a block in one stacked query
@@ -154,13 +153,10 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         raise ValueError("step must be positive")
     lo, hi = oracle.scene.lower, oracle.scene.upper
     tree = _Tree(q_init)
-    t0 = time.perf_counter()
 
-    path_pts = None
-    carry = np.empty(0)
-    try:
-        check_endpoints(oracle, q_init, q_goal)
-        while path_pts is None:
+    def search() -> list[Config]:
+        carry = np.empty(0)
+        while True:
             targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi, q_goal, GOAL_BIAS, carry)
             for q_rand, ni in tree.kd.nearest_each(targets):
                 q_new = _steer(tree.points[ni], q_rand, step)
@@ -168,13 +164,9 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                     continue
                 i = tree.add(q_new, ni)
                 if dist(q_new, q_goal) <= step:
-                    path_pts = tree.path_to(i)
-                    if not np.array_equal(path_pts[-1], q_goal):
-                        path_pts.append(q_goal)
-                    break
-    except BudgetExhausted:
-        pass
-    return PlanResult.finish(path_pts, oracle.sample_count, t0, (tree,))
+                    return tree.path_to(i, q_goal)
+
+    return run_search(search, oracle, q_init, q_goal, (tree,))
 
 
 def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
@@ -184,12 +176,9 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         raise ValueError("step must be positive")
     lo, hi = oracle.scene.lower, oracle.scene.upper
     trees = (_Tree(q_init), _Tree(q_goal))
-    t0 = time.perf_counter()
 
-    path_pts = None
-    try:
-        check_endpoints(oracle, q_init, q_goal)
-        while path_pts is None:
+    def search() -> list[Config]:
+        while True:
             # row k holds the values iteration k drew on its own before, from
             # one call instead of one call per row with array bounds.  Row k
             # extends trees[k % 2], the start tree on even rows, and connects
@@ -207,30 +196,17 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 else:
                     continue
                 q_new = ta.points[ia]
-                # greedily connect the other tree toward the new node
-                ib = None
+                # greedily connect the other tree toward the new node; _steer
+                # returns None once the connect stands on it
                 cur = tb.kd.nearest(q_new)
-                while True:
-                    q_step = _steer(tb.points[cur], q_new, step)
-                    if q_step is None:
-                        ib = cur
-                        break
-                    if not oracle.query(q_step):
-                        break
+                q_step = _steer(tb.points[cur], q_new, step)
+                while q_step is not None and oracle.query(q_step):
                     cur = tb.add(q_step, cur)
-                    if q_step is q_new:  # _steer's last step returns its target
-                        ib = cur
-                        break
-                if ib is not None:
-                    pa = ta.path_to(ia)
-                    pb = tb.path_to(ib)
-                    pb.reverse()
+                    q_step = _steer(tb.points[cur], q_new, step)
+                if q_step is None:
+                    pa, pb = ta.path_to(ia), tb.path_to(cur)[::-1]
                     if np.array_equal(pa[-1], pb[0]):
                         pb = pb[1:]
-                    path_pts = pa + pb
-                    if k % 2:
-                        path_pts.reverse()
-                    break
-    except BudgetExhausted:
-        pass
-    return PlanResult.finish(path_pts, oracle.sample_count, t0, trees)
+                    return (pa + pb)[::-1] if k % 2 else pa + pb
+
+    return run_search(search, oracle, q_init, q_goal, trees)

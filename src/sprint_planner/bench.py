@@ -26,7 +26,7 @@ from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
 from .params import params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_lam, fixture_scene
-from .world import CollisionOracle, Scene, is_json_point, load_scene, read_json
+from .world import CollisionOracle, Scene, is_json_int, is_json_point, load_scene, read_json
 
 CSV_HEADER = "planner,scene,seed,status,total_samples,path_length,wall_time_s,delta_useful_ratio"
 
@@ -91,16 +91,20 @@ def delta_useful_ratio(samples: list[tuple[Config, bool]], path: np.ndarray,
     return useful / len(samples)
 
 
-def _random_params(params: SprintParams, rng: np.random.Generator):
+RANDOM_FACTORS = (0.75, 1.25)  # uniform() can round onto either end
+
+
+def _random_params(params: SprintParams, rng: np.random.Generator, factor=None):
     """Every continuous (non-int) field scaled by an independent uniform
-    factor in [0.75, 1.25], eta and eps_prog from their effective values."""
+    factor in RANDOM_FACTORS, or by factor when given; eta and eps_prog from
+    their effective values."""
     changes = {}
     for f in fields(params):
         if f.type != "int":
             value = getattr(params, f.name)
             if value is None:
                 value = getattr(params, f"{f.name}_eff")
-            changes[f.name] = value * float(rng.uniform(0.75, 1.25))
+            changes[f.name] = value * (factor or float(rng.uniform(*RANDOM_FACTORS)))
     return replace(params, **changes), SprintVariant()
 
 
@@ -143,12 +147,20 @@ def resolve_scene(ident: str) -> Scene:
     raise ValueError(f"unknown scene {ident!r}: not a fixture name or existing file")
 
 
-def trial_params(ident: str, overrides) -> SprintParams:
-    """SprintParams from parsed JSON field overrides for scene ident: a
-    fixture runs at its own lam unless the overrides set one."""
+def trial_params(ident: str, overrides, planners) -> SprintParams:
+    """SprintParams from parsed JSON field overrides for scene ident's trials
+    of the given planner ids: a fixture runs at its own lam unless the
+    overrides set one.  For sprint:random-params they must pass every check at
+    both ends of RANDOM_FACTORS, and so at every factor between."""
     params = params_from_json(overrides)
     if ident in FIXTURE_NAMES and "lam" not in overrides:
-        return replace(params, lam=fixture_lam(ident))
+        params = replace(params, lam=fixture_lam(ident))
+    if "sprint:random-params" in planners:
+        for end in RANDOM_FACTORS:
+            try:
+                _random_params(params, None, end)
+            except ValueError as e:
+                raise ValueError(f"sprint:random-params at factor {end}: {e}") from None
     return params
 
 
@@ -241,10 +253,6 @@ def write_csv(records: list[TrialRecord], path) -> None:
 _GRID_KEYS = ("scenes", "planners", "seeds", "max_samples", "params", "svg", "endpoints")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def load_grid_config(path) -> dict:
     """Read and type-check a grid config.  The result has every key: seeds
     as a sequence of ints (a range for the start/count form, so a huge count
@@ -271,15 +279,15 @@ def load_grid_config(path) -> dict:
     seeds = cfg.get("seeds", {"start": 0, "count": 10})
     if isinstance(seeds, dict) and set(seeds) <= {"start", "count"}:
         start, count = seeds.get("start", 0), seeds.get("count")
-        if _is_int(start) and _is_int(count) and start >= 0 and count >= 0:
+        if is_json_int(start) and is_json_int(count) and start >= 0 and count >= 0:
             seeds = range(start, start + count)
     if not (isinstance(seeds, range)
-            or isinstance(seeds, list) and all(_is_int(s) and s >= 0 for s in seeds)):
+            or isinstance(seeds, list) and all(is_json_int(s) and s >= 0 for s in seeds)):
         raise ValueError('grid config "seeds" must be {"start": int, "count": int} '
                          'or a list of non-negative ints')
 
     max_samples = cfg.get("max_samples", 50_000)
-    if not _is_int(max_samples) or max_samples <= 0:
+    if not is_json_int(max_samples) or max_samples <= 0:
         raise ValueError('grid config "max_samples" must be a positive integer')
     svg = cfg.get("svg", False)
     if not isinstance(svg, bool):
@@ -333,7 +341,8 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
             global_planner.check_endpoints(CollisionOracle(scene), start, goal)
         except ValueError as e:
             raise ValueError(f"scene {ident!r}: {e}") from None
-        scenes[ident] = (scene, start, goal, trial_params(ident, cfg["params"]))
+        scenes[ident] = (scene, start, goal,
+                         trial_params(ident, cfg["params"], cfg["planners"]))
         if cfg["svg"] and scene.dim == 2:
             # the scene's part of its SVG names: separators replaced, so that
             # every file lands in out_dir, no two scenes alike, none too long

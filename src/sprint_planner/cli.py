@@ -30,16 +30,15 @@ def cmd_plan(args) -> int:
         if not args.svg or "\0" in args.svg or svg.is_dir() or not svg.parent.is_dir():
             raise ValueError(f"--svg {args.svg!r} names no file in an existing directory")
     if (args.start is None) != (args.goal is None):
-        print("error: --start and --goal must be given together", file=sys.stderr)
-        return 2
+        raise ValueError("--start and --goal must be given together")
     if args.start is not None:
         start, goal = _parse_point("--start", args.start), _parse_point("--goal", args.goal)
     elif args.scene in FIXTURE_NAMES:
         start, goal = fixture_endpoints(args.scene)
     else:
-        print("error: --start/--goal required for non-fixture scenes", file=sys.stderr)
-        return 2
-    params = trial_params(args.scene, {} if args.params is None else read_json(args.params))
+        raise ValueError("--start/--goal required for non-fixture scenes")
+    params = trial_params(args.scene, {} if args.params is None else read_json(args.params),
+                          (args.planner,))
     record, result, oracle = run_trial(args.planner, scene, start, goal, args.seed,
                                        params, args.max_samples, scene_label=args.scene)
     print(f"planner={record.planner} scene={record.scene} seed={record.seed} "

@@ -42,13 +42,15 @@ class Tree:
         self.parents.append(parent)
         return len(self.points) - 1
 
-    def path_to(self, i: int) -> list[Config]:
-        """Configs from the root to node i."""
+    def path_to(self, i: int, end: Config | None = None) -> list[Config]:
+        """Configs from the root to node i, then end unless node i is at it."""
         out = []
         while i != -1:
             out.append(self.points[i])
             i = self.parents[i]
         out.reverse()
+        if end is not None and not np.array_equal(out[-1], end):
+            out.append(end)
         return out
 
 

@@ -1,5 +1,5 @@
 """Global milestone search: region selection and local-search dispatch; also
-the endpoint checks and result record all three planners share."""
+the endpoint checks, run wrapper and result record all three planners share."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .world import BudgetExhausted, CollisionOracle
 
 __all__ = [
     "SprintParams", "PlanStatus", "PlanResult", "Tree", "SprintVariant",
-    "check_endpoints", "plan", "add_milestones",
+    "check_endpoints", "run_search", "plan", "add_milestones",
 ]
 
 
@@ -35,17 +35,6 @@ class PlanResult:
     path_length: float
     trees: tuple[Tree, ...] = field(repr=False)
 
-    @classmethod
-    def finish(cls, path_pts: list[Config] | None, total: int, t0: float,
-               trees: tuple[Tree, ...]) -> PlanResult:
-        """The result of a run that started at perf_counter() time t0, took
-        the total samples its oracle counted and found path_pts, or none."""
-        wall = time.perf_counter() - t0
-        if path_pts is None:
-            return cls(PlanStatus.BUDGET_EXHAUSTED, None, total, wall, float("nan"), trees)
-        path = np.array(path_pts)
-        return cls(PlanStatus.SOLVED, path, total, wall, polyline_length(path), trees)
-
 
 def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> None:
     """Raise ValueError unless both endpoints are distinct and free; only
@@ -56,6 +45,25 @@ def check_endpoints(oracle: CollisionOracle, q_init: Config, q_goal: Config) -> 
         raise ValueError("q_init is in collision")
     if not oracle.query(q_goal):
         raise ValueError("q_goal is in collision")
+
+
+def run_search(search: Callable[[], list[Config]], oracle: CollisionOracle,
+               q_init: Config, q_goal: Config, trees: tuple[Tree, ...]) -> PlanResult:
+    """Run a planner's search() over the trees it has built: the clock starts
+    here, the endpoint checks come first, and search() returns the path where
+    it finds it.  The oracle's BudgetExhausted ends the run unsolved, caught
+    here and nowhere else."""
+    t0 = time.perf_counter()
+    try:
+        check_endpoints(oracle, q_init, q_goal)
+        path_pts = search()
+    except BudgetExhausted:
+        path_pts = None
+    total, wall = oracle.sample_count, time.perf_counter() - t0
+    if path_pts is None:
+        return PlanResult(PlanStatus.BUDGET_EXHAUSTED, None, total, wall, float("nan"), trees)
+    path = np.array(path_pts)
+    return PlanResult(PlanStatus.SOLVED, path, total, wall, polyline_length(path), trees)
 
 
 @dataclass(frozen=True)
@@ -202,18 +210,15 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
     selector's row n) is tree node at[n].  The selector alone keeps the
     milestones, the goal first.  The default selection is looked up here, not
     bound at import, so that a patched select_best sees every call."""
-    t0 = time.perf_counter()
     select = variant.select_fn or _PairSelector.select_best
     tree = Tree(q_init)
-    path_pts = None
-    try:
-        check_endpoints(oracle, q_init, q_goal)
+
+    def search() -> list[Config]:
         at = [0]
         selector = _PairSelector(q_init, q_goal, params)
         selector.add_milestones([q_goal])
         selector.add_milestones(add_milestones(oracle, params, rng))
-
-        while path_pts is None:
+        while True:
             pick = select(selector)
             if pick is None:
                 selector.add_milestones(add_milestones(oracle, params, rng))
@@ -227,14 +232,12 @@ def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
                 node = at[ni]
                 for q in res.path[1:]:
                     node = tree.add(q, node)
+                if mi == 0:
+                    return tree.path_to(node)
                 at.append(node)
                 selector.add_node(q_m)
                 selector.mark_reached(mi)
-                if mi == 0:
-                    path_pts = tree.path_to(node)
             else:
                 selector.add_region(q_n, q_m)
-    except BudgetExhausted:
-        pass
 
-    return PlanResult.finish(path_pts, oracle.sample_count, t0, (tree,))
+    return run_search(search, oracle, q_init, q_goal, (tree,))

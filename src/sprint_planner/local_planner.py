@@ -326,34 +326,24 @@ def local_search(root: Config, goal: Config, oracle: CollisionOracle,
         return LocalResult(LocalStatus.REACHED, np.vstack([root, goal]), 1)
 
     stack: list[tuple[int, int]] = [(0, params.r_retry)]
-    reached: int | None = None
     while stack:
         node_id, retries = stack.pop()
         if not gate(node_id, tree):
             continue
         obs = collision_points(node_id, tree)
         q_c = edge(node_id, tree, obs, rng)
+        if retries - 1 > 0:
+            # the node stays reachable below any new branch for backtracking
+            stack.append((node_id, retries - 1))
         if oracle.query(q_c):
             child = tree.add(q_c, node_id)
             backprop_progress(tree, child)
             if len(tree.children[node_id]) >= 2:
                 promote_checkpoint(tree, node_id)
-            if retries - 1 > 0:
-                # parent stays reachable below the new branch for backtracking
-                stack.append((node_id, retries - 1))
             if tree.d_goal[child] <= goal_reach and oracle.query(goal):
-                reached = child
-                break
+                return LocalResult(LocalStatus.REACHED, np.array(tree.path_to(child, goal)),
+                                   oracle.sample_count - start_count)
             stack.append((child, params.r_retry))
         else:
             backprop_collision(tree, node_id, q_c)
-            if retries - 1 > 0:
-                stack.append((node_id, retries - 1))
-
-    samples_used = oracle.sample_count - start_count
-    if reached is not None:
-        path = tree.path_to(reached)
-        if not np.array_equal(path[-1], goal):
-            path.append(goal)
-        return LocalResult(LocalStatus.REACHED, np.array(path), samples_used)
-    return LocalResult(LocalStatus.EXHAUSTED, None, samples_used)
+    return LocalResult(LocalStatus.EXHAUSTED, None, oracle.sample_count - start_count)

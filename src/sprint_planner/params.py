@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields
+
+from .world import is_json_int, is_json_number
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,10 @@ def params_from_json(obj) -> SprintParams:
         kind = types[key]
         if value is None:
             ok = kind.endswith("| None")
-        elif isinstance(value, bool):
-            ok = False
-        elif isinstance(value, int):
-            ok = abs(value) <= (sys.maxsize if kind == "int" else sys.float_info.max)
+        elif kind == "int":
+            ok = is_json_int(value) and abs(value) <= sys.maxsize
         else:
-            ok = kind != "int" and isinstance(value, float) and math.isfinite(value)
+            ok = is_json_number(value)
         if not ok:
             raise ValueError(f"params field {key!r} must be {kind}, got {reprlib.repr(value)}")
     return SprintParams(**obj)

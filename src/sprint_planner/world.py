@@ -172,14 +172,19 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _is_json_number(v) -> bool:
+def is_json_int(v) -> bool:
+    """A JSON integer: no boolean, no number with a fraction part."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_json_number(v) -> bool:
     """A JSON number that fits a float: no boolean, NaN or infinity."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def is_json_point(x) -> bool:
     """True for a nonempty JSON list of numbers that fit a float."""
-    return isinstance(x, list) and len(x) > 0 and all(map(_is_json_number, x))
+    return isinstance(x, list) and len(x) > 0 and all(map(is_json_number, x))
 
 
 def _field(data: dict, key: str, ok, what: str):
@@ -215,7 +220,7 @@ def scene_from_dict(data: dict) -> Scene:
             if kind == "box":
                 obstacles.append(Box(_point(entry, "min"), _point(entry, "max")))
             elif kind == "sphere":
-                radius = _field(entry, "radius", _is_json_number, "a finite number")
+                radius = _field(entry, "radius", is_json_number, "a finite number")
                 obstacles.append(Sphere(_point(entry, "center"), float(radius)))
             else:
                 raise ValueError(f"unknown obstacle type {kind!r}")

@@ -232,6 +232,30 @@ class TestAblation:
         SPRINT_VARIANTS["sprint:random-params"](p, np.random.default_rng(2))
         assert asdict(p) == before
 
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"kappa": 0.79}, True),
+        ({"kappa": 0.8}, False),  # 0.8 * 1.25 == 1.0, and uniform() can round onto 1.25
+        ({"c_base": 1.2e-162}, False),
+        ({}, True),
+    ])
+    def test_random_params_checked_at_both_factor_ends(self, overrides, ok):
+        def build(planners):
+            return bench.trial_params("empty_2d", overrides, planners)
+
+        assert build(["sprint"]) == build(()) == SprintParams(
+            **{**overrides, "lam": fixture_lam("empty_2d")})
+        if ok:
+            assert build(["rrt", "sprint:random-params"]) == build(())
+        else:
+            with pytest.raises(ValueError, match="^sprint:random-params at factor "):
+                build(["rrt", "sprint:random-params"])
+
+    def test_random_params_factor_ends_are_drawable(self):
+        lo, hi = bench.RANDOM_FACTORS
+        # uniform() is lo + (hi - lo) * random(), random() in [0, 1)
+        assert lo + (hi - lo) * 0.0 == lo
+        assert lo + (hi - lo) * (1.0 - 2.0 ** -53) == hi
+
     def test_heuristic_swaps_per_mode(self):
         p = SprintParams(lam=0.01)
         rng = np.random.default_rng(0)

@@ -230,7 +230,7 @@ class TestPlanCommand:
     def test_start_without_goal_is_an_error(self, capsys):
         rc = main(["plan", "--scene", "empty_2d", "--start", "0.2,0.2"])
         assert rc == 2
-        assert "--goal" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: --start and --goal must be given together\n")
 
     def test_bad_planner_rejected(self):
         with pytest.raises(SystemExit):
@@ -268,6 +268,29 @@ class TestPlanCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
         assert len(err) < 200
+
+    @pytest.mark.parametrize("params, err", [
+        # some seeds draw factors these params survive (c_base: 0 and 1; kappa: 0)
+        pytest.param({"c_base": 1.2e-162},
+                     "error: sprint:random-params at factor 0.75: c_base 9.000000000000001e-163 "
+                     "is too small: 2 * c_base**2 underflows to 0\n", id="c_base"),
+        pytest.param({"kappa": 0.9},
+                     "error: sprint:random-params at factor 1.25: kappa must lie in (0, 1)\n",
+                     id="kappa"),
+    ])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_random_params_out_of_range_fail_every_seed(self, tmp_path, capsys, monkeypatch,
+                                                        params, err, seed):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("the trial ran")
+
+        monkeypatch.setattr("sprint_planner.cli.run_trial", no_trial)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params), encoding="utf-8")
+        rc = main(["plan", "--scene", "empty_2d", "--planner", "sprint:random-params",
+                   "--params", str(path), "--seed", seed])
+        assert rc == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_null_eta_in_params_file_means_default(self, tmp_path):
         path = tmp_path / "params.json"
@@ -335,6 +358,12 @@ class TestBenchCommand:
         pytest.param(DEEP, "grid.json: JSON nested too deeply", id="deeply-nested"),
         ({"params": {"max_local_samples": 2000}}, "unknown params field 'max_local_samples'"),
         ({"params": {"c_base": 1e-200}}, "c_base"),
+        # sprint:random-params scales c_base by as little as 0.75 and kappa by
+        # as much as 1.25; seed 0 alone would survive these
+        ({"planners": ["sprint:random-params"], "params": {"c_base": 1.2e-162}},
+         "sprint:random-params at factor 0.75: c_base"),
+        ({"planners": ["sprint:random-params"], "params": {"kappa": 0.9}},
+         "sprint:random-params at factor 1.25: kappa"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"
@@ -360,6 +389,23 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "in collision" in capsys.readouterr().err
         assert calls == []
+
+    def test_random_params_out_of_range_stop_the_grid_before_any_trial(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "scenes": ["empty_2d"], "planners": ["sprint", "sprint:random-params"],
+            "seeds": {"start": 0, "count": 4}, "params": {"c_base": 1.2e-162},
+        }), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sprint:random-params at factor 0.75: c_base ")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert not (out / "results.csv").exists()
 
     def test_alias_planner_stops_the_grid_before_any_trial(self, tmp_path, capsys,
                                                            monkeypatch):

@@ -213,6 +213,16 @@ class TestTree:
         np.testing.assert_array_equal(np.array(t.path_to(b2)),
                                       [[0.0, 0.0], [0.0, 0.5], [0.0, 1.0]])
 
+    def test_path_to_an_end_appends_it_unless_the_node_is_there(self):
+        t = Tree(np.array([0.0, 0.0]))
+        a = t.add(np.array([0.5, 0.0]), 0)
+        end = np.array([0.6, 0.0])
+        path = t.path_to(a, end)
+        np.testing.assert_array_equal(np.array(path), [[0.0, 0.0], [0.5, 0.0], [0.6, 0.0]])
+        assert path[-1] is end
+        np.testing.assert_array_equal(np.array(t.path_to(a, np.array([0.5, 0.0]))),
+                                      [[0.0, 0.0], [0.5, 0.0]])
+
 
 class TestPlan:
     def test_empty_scene_resolves_to_straight_line(self):
