@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, FreeSpaceNotFound) as e:
+    except (ValueError, OSError, FreeSpaceNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

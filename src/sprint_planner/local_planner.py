@@ -55,9 +55,7 @@ class LocalTree(Tree):
     """Search tree rooted at the region's first endpoint, aiming at the second.
 
     Each node field is a list indexed by node id.  Node i is a checkpoint
-    exactly when i is in records.  headings maps each node extended so far
-    to its (q_x - q_p, unit heading, eta * w1 * heading), which local_edge
-    starts every extension of it from.  The per-tree (d,) vectors hold the
+    exactly when i is in records.  The per-tree (d,) vectors hold the
     jitter's lower end and span and the goal and repulsion step weights.
     """
 
@@ -67,7 +65,6 @@ class LocalTree(Tree):
         self.goal = goal
         self.params = params
         self.children: list[list[int]] = [[]]
-        self.headings: dict[int, tuple[Config, Config, Config]] = {}
         d, jitter, eta = root.shape[0], params.lam / 100.0, params.eta_eff
         # uniform(-jitter, jitter) draws lo + (hi - lo) * random(d)
         self.jitter_lo = np.full(d, -jitter)
@@ -204,10 +201,7 @@ def grad_g3(q_x: Config, q_c: Config, rel, lam: float,
     array or a sequence of vectors.  Points projecting behind q_x are gated
     out; a point landing exactly on the line through q_x and q_c pushes in a
     random unit direction, one rng draw per such point in the order of rel.
-
-    A gated-out point adds exactly zero to the all-rows product, so with no
-    point ahead the result is +0, and with one point ahead it is that
-    point's term alone, bit for bit what the product gives.
+    With no point ahead the result is +0, as the all-rows product gives.
     """
     rel = np.asarray(rel, dtype=np.float64)
     k = len(rel)
@@ -222,38 +216,20 @@ def grad_g3(q_x: Config, q_c: Config, rel, lam: float,
     if not ahead:
         return np.zeros(dv.shape[0])
     four_lam2 = 4.0 * lam * lam
-    if len(ahead) == 1:
-        i = ahead[0]
-        r = s[i] * dv - rel[i]
-        n2 = float(np.einsum("j,j->", r, r))  # the row kernel of the einsum below
-        if n2 == 0.0:
-            r = _random_unit(rng, dv.shape[0])
-        # + 0.0 turns a -0 coordinate into the +0 the product starts from
-        return _repulsion_weight(n2, k, four_lam2) * r + 0.0
     # each point's offset to its projection q_x + s*dv, formed explicitly:
     # |rel|^2 - (rel.dv)^2/denom cancels for points near the line
     res = s[:, None] * dv - rel
     sep2 = np.einsum("ij,ij->i", res, res).tolist()
     weights = [0.0] * k
     for i in ahead:
-        if sep2[i] == 0.0:
-            res[i] = _random_unit(rng, dv.shape[0])
-        weights[i] = _repulsion_weight(sep2[i], k, four_lam2)
+        n = math.sqrt(sep2[i])
+        psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
+        if n == 0.0:
+            res[i] = unit(rng.normal(size=dv.shape[0]))
+            weights[i] = psi32 / k
+        else:
+            weights[i] = psi32 / (n * k)  # also scales the residual to unit length
     return np.dot(weights, res)
-
-
-def _repulsion_weight(n2: float, k: int, four_lam2: float) -> float:
-    """Weight of one of k points ahead, at squared separation n2 from the
-    line: psi_3,2 / k, over the separation when n2 > 0, so that it also
-    scales the point's residual to a unit direction."""
-    n = math.sqrt(n2)
-    psi32 = 5.0 * math.exp(-(n * n) / four_lam2)
-    return psi32 / k if n == 0.0 else psi32 / (n * k)
-
-
-def _random_unit(rng: np.random.Generator, d: int) -> Config:
-    direction = rng.normal(size=d)
-    return direction / np.linalg.norm(direction)
 
 
 def local_edge(node_id: int, tree: LocalTree, obs,
@@ -265,20 +241,17 @@ def local_edge(node_id: int, tree: LocalTree, obs,
     params = tree.params
     lam = params.lam
     q_x = tree.points[node_id]
-    heading = tree.headings.get(node_id)
-    if heading is None:
-        if node_id == 0:
-            # one step behind the root, opposite the goal direction, so the
-            # first extension's straight-line term points at the goal
-            q_p = tree.root - lam * unit(tree.goal - tree.root)
-        else:
-            q_p = tree.points[tree.parents[node_id]]
-        step = q_x - q_p
-        g1 = unit(step)  # the straight-line pull along the predecessor edge
-        heading = tree.headings[node_id] = (step, g1, (params.eta_eff * params.w1_l) * g1)
+    if node_id == 0:
+        # one step behind the root, opposite the goal direction, so the
+        # first extension's straight-line term points at the goal
+        q_p = tree.root - lam * unit(tree.goal - tree.root)
+    else:
+        q_p = tree.points[tree.parents[node_id]]
     # the candidate is tracked as its offset from q_x, which each ascent
     # step moves by eta * gradient and then rescales to length lam
-    step, g1, pull = heading
+    step = q_x - q_p
+    g1 = unit(step)  # the straight-line pull along the predecessor edge
+    pull = (params.eta_eff * params.w1_l) * g1
     repel = len(obs) > 0
     if repel:
         rel = obs - q_x

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields
@@ -41,6 +42,9 @@ class SprintParams:
         # each check is written so that NaN fails it
         if not self.lam > 0:
             raise ValueError("lam must be positive")
+        # the delta-useful ratio of a solved trial takes delta = 2 lam
+        if not 2.0 * self.lam < math.inf:
+            raise ValueError(f"lam {self.lam!r} is too large: 2 * lam overflows to inf")
         if not 0.0 < self.kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
         if self.ascent_iters not in (1, 2):

@@ -26,7 +26,7 @@ FIXTURE_NAMES = tuple(_FIXTURES)
 
 def _fixture(name: str) -> tuple[list[float], list[float], float]:
     if name not in _FIXTURES:
-        raise KeyError(f"unknown scene fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+        raise ValueError(f"unknown scene fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     return _FIXTURES[name]
 
 

@@ -57,8 +57,8 @@ def hvs(x: float) -> float:
 
 def grad_g3_all_rows(q_x: Config, q_c: Config, obs, lam: float,
                      rng: np.random.Generator) -> Config:
-    """`local_planner.grad_g3` as it was before its shortcuts for at most one
-    point ahead: every row's residual and weight, gated-out rows weighted 0,
+    """`local_planner.grad_g3` as it was before it returned +0 with no point
+    ahead: every row's residual and weight, gated-out rows weighted 0,
     summed by one vector-matrix product.  Fixed-seed trajectories were
     recorded with it, so grad_g3 must match it byte for byte."""
     obs = np.asarray(obs, dtype=np.float64)

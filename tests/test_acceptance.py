@@ -7,7 +7,6 @@ any machine; the wall-clock limits are asserted from fresh measurements.
 """
 
 import collections
-import csv
 import math
 import statistics
 import time
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from sprint_planner.baselines import KdTree
-from sprint_planner.bench import run_trial, write_csv, record_row
+from sprint_planner.bench import run_trial, record_row
 from sprint_planner.geometry import dist
 from sprint_planner.global_planner import PlanStatus, SprintParams, _PairSelector, plan
 from sprint_planner.local_planner import (LocalTree, grad_g2, grad_g3,

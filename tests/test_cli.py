@@ -257,6 +257,8 @@ class TestPlanCommand:
         ({"max_local_samples": 2000}, "unknown params field 'max_local_samples'"),
         # 2 * c_base**2 underflows to 0, which the culling gate divides by
         ({"c_base": 1e-200}, "c_base"),
+        # 2 * lam, the delta-useful ratio's delta, overflows to inf
+        ({"lam": 1e308}, "lam 1e+308 is too large"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -364,6 +366,9 @@ class TestBenchCommand:
          "sprint:random-params at factor 0.75: c_base"),
         ({"planners": ["sprint:random-params"], "params": {"kappa": 0.9}},
          "sprint:random-params at factor 1.25: kappa"),
+        ({"planners": ["rrt"], "params": {"lam": 1e308}}, "lam 1e+308 is too large"),
+        ({"planners": ["sprint:random-params"], "params": {"lam": 8e307}},
+         "sprint:random-params at factor 1.25: lam"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"

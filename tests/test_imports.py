@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module or listed in
-its `__all__`; and importing the library costs numpy only: scipy is loaded
+"""Every name a library module, test file or tool imports is used in that
+file or listed in its `__all__`; and importing the library costs numpy only: scipy is loaded
 by the first `KdTree` built or delta-useful ratio, inside the function that
 needs it, never by a module import, and no baseline trial's wall time is
 charged for it."""
@@ -17,6 +17,8 @@ from test_behaviour_pin import PINNED, PINNED_BASELINES, PINNED_RATIOS, PINNED_S
 import sprint_planner
 
 MODULES = sorted(Path(sprint_planner.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *(REPO / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +38,9 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# library modules keep their bare file names as ids
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: (
+    p.name if p in MODULES else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

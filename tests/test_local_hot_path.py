@@ -1,6 +1,6 @@
 """Equivalence checks for the local layer's hot path: the array repulsion
 against the per-point loop it replaced and, byte for byte, against the
-all-rows product its shortcuts skip, the edge step byte for byte against
+all-rows product, the edge step byte for byte against
 the form that recomputed every value on every call, the culling gate
 against its formula and against pinned boundary stall counts, and each
 checkpoint's collision points against a model bounded deque."""
@@ -201,28 +201,6 @@ def _differences(g3):
     return out
 
 
-def _one_ahead_with(fault):
-    """grad_g3 with its one-point-ahead shortcut formed with one fault:
-    "no /k" leaves the mean's 1/k out of the weight, "dot" takes the
-    separation by r.dot(r), "no +0" returns w * r as it is."""
-    def g3(q_x, q_c, rel, lam, rng):
-        dv = q_c - q_x
-        s = rel.dot(dv) / float(dv.dot(dv))
-        ahead = [i for i, t in enumerate(s.tolist()) if not t < 0.0]
-        if len(ahead) != 1:
-            return grad_g3(q_x, q_c, rel, lam, rng)
-        r = s[ahead[0]] * dv - rel[ahead[0]]
-        n = math.sqrt(float(r.dot(r)) if fault == "dot" else float(np.einsum("j,j->", r, r)))
-        k = 1 if fault == "no /k" else len(rel)
-        psi32 = 5.0 * math.exp(-(n * n) / (4.0 * lam * lam))
-        if n == 0.0:
-            direction = rng.normal(size=dv.shape[0])
-            return psi32 / k * (direction / np.linalg.norm(direction)) + 0.0
-        w_r = psi32 / (n * k) * r
-        return w_r if fault == "no +0" else w_r + 0.0
-    return g3
-
-
 class TestGradG3BitIdentical:
     def test_cases_have_the_points_ahead_they_claim(self):
         paths = set()
@@ -235,23 +213,15 @@ class TestGradG3BitIdentical:
     def test_matches_all_rows_formula(self):
         assert _differences(grad_g3) == []
 
-    @pytest.mark.parametrize("fault", ["no /k", "dot", "no +0"])
-    def test_cases_catch_a_faulty_shortcut(self, fault):
-        # each fault is in the one-point-ahead shortcut, so only its cases differ
-        diffs = _differences(_one_ahead_with(fault))
-        assert diffs
-        assert all("1 ahead" in label or "signed zero" in label for label in diffs)
-
 
 def _edge_differences(d, k, seed):
     """Labels of the extensions where local_edge and the per-call form differ
     in the bytes of the candidate or in the generator's next draw.  One
     tree, with random weights and one or two ascent iterations, has k
     collision points at its root; the root (whose predecessor is virtual)
-    and a node two edges down are each extended twice, the second time from
-    the heading the first one cached; then collisions at the node add
-    points, and a checkpoint promoted between the two gives the node points
-    of its own."""
+    and a node two edges down are each extended twice; then collisions at
+    the node add points, and a checkpoint promoted between the two gives
+    the node points of its own."""
     rng = np.random.default_rng(seed)
     p = SprintParams(lam=float(rng.uniform(0.02, 0.2)), k_obs=10,
                      eta=None if rng.random() < 0.5 else float(rng.uniform(0.01, 0.1)),
@@ -304,19 +274,6 @@ class TestLocalEdgeBitIdentical:
         for k in range(11):
             diffs += _edge_differences(d, k, seed=100 * d + k)
         assert diffs == []
-
-    def test_heading_is_cached_at_the_first_extension(self):
-        tree = LocalTree(np.zeros(2), np.ones(2), SprintParams())
-        nid = tree.add(np.array([0.05, 0.0]), 0)
-        assert tree.headings == {}
-        local_edge(nid, tree, collision_points(nid, tree), np.random.default_rng(0))
-        heading = tree.headings[nid]
-        step, g1, pull = heading
-        np.testing.assert_array_equal(step, [0.05, 0.0])
-        np.testing.assert_array_equal(g1, [1.0, 0.0])
-        local_edge(nid, tree, collision_points(nid, tree), np.random.default_rng(0))
-        assert tree.headings[nid] is heading
-        assert list(tree.headings) == [nid]
 
 
 def _gate_params():

@@ -54,6 +54,9 @@ class TestSprintParams:
         {"eps_prog": math.nan},
         {"lam": math.nan, "c_base": math.nan, "eps_prog": -1.0},
         {"c_base": 1e-200},
+        # 2 * lam, the delta-useful ratio's delta, overflows to inf
+        {"lam": 1e308},
+        {"lam": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

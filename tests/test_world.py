@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
