@@ -1,8 +1,8 @@
 """Every name a library module, test file or tool imports is used in that
-file or listed in its `__all__`; and importing the library costs numpy only: scipy is loaded
-by the first `KdTree` built or delta-useful ratio, inside the function that
-needs it, never by a module import, and no baseline trial's wall time is
-charged for it."""
+file or listed in its `__all__`; and importing the library costs numpy
+only: scipy is loaded by the first `KdTree` built or delta-useful ratio,
+inside the function that needs it, never by a module import, and no
+baseline trial's wall time is charged for it."""
 
 import ast
 import json

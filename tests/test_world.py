@@ -402,3 +402,10 @@ class TestSerialization:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="broken.json"):
             load_scene(path)
+
+
+@pytest.mark.parametrize("lookup", [fixture_scene, fixture_endpoints, fixture_lam])
+def test_unknown_fixture_is_a_value_error(lookup):
+    # the input-error type every other check raises, which the CLI reports
+    with pytest.raises(ValueError, match="^unknown scene fixture 'empty_3d'; known: empty_2d, "):
+        lookup("empty_3d")
