@@ -23,6 +23,7 @@ import numpy as np
 from . import baselines, global_planner
 from .geometry import Config, unit
 from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
+from .local_planner import check_edge_step
 from .params import params_from_json
 from .render import render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints, fixture_lam, fixture_scene
@@ -147,20 +148,28 @@ def resolve_scene(ident: str) -> Scene:
     raise ValueError(f"unknown scene {ident!r}: not a fixture name or existing file")
 
 
-def trial_params(ident: str, overrides, planners) -> SprintParams:
-    """SprintParams from parsed JSON field overrides for scene ident's trials
-    of the given planner ids: a fixture runs at its own lam unless the
-    overrides set one.  For sprint:random-params they must pass every check at
-    both ends of RANDOM_FACTORS, and so at every factor between."""
+def trial_params(ident: str, scene: Scene, overrides, planners) -> SprintParams:
+    """SprintParams from parsed JSON field overrides for the trials of the
+    given planner ids on scene, named ident: a fixture runs at its own lam
+    unless the overrides set one.  For sprint:random-params they must pass
+    every check at both ends of RANDOM_FACTORS, and so at every factor
+    between; the edge step must fit the scene's floats, at both ends too."""
     params = params_from_json(overrides)
     if ident in FIXTURE_NAMES and "lam" not in overrides:
         params = replace(params, lam=fixture_lam(ident))
+    runs = {"": params}
     if "sprint:random-params" in planners:
         for end in RANDOM_FACTORS:
+            where = f"sprint:random-params at factor {end}: "
             try:
-                _random_params(params, None, end)
+                runs[where] = _random_params(params, None, end)[0]
             except ValueError as e:
-                raise ValueError(f"sprint:random-params at factor {end}: {e}") from None
+                raise ValueError(f"{where}{e}") from None
+    for where, run in runs.items():
+        try:
+            check_edge_step(run, scene)
+        except ValueError as e:
+            raise ValueError(f"scene {ident!r}: {where}{e}") from None
     return params
 
 
@@ -342,7 +351,7 @@ def run_grid(config_path, out_dir) -> list[TrialRecord]:
         except ValueError as e:
             raise ValueError(f"scene {ident!r}: {e}") from None
         scenes[ident] = (scene, start, goal,
-                         trial_params(ident, cfg["params"], cfg["planners"]))
+                         trial_params(ident, scene, cfg["params"], cfg["planners"]))
         if cfg["svg"] and scene.dim == 2:
             # the scene's part of its SVG names: separators replaced, so that
             # every file lands in out_dir, no two scenes alike, none too long

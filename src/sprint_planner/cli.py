@@ -12,7 +12,7 @@ from .bench import PLANNER_IDS, resolve_scene, run_grid, run_trial, trial_params
 from .geometry import as_config
 from .render import check_renderable, render_svg
 from .scenes import FIXTURE_NAMES, fixture_endpoints
-from .world import FreeSpaceNotFound, read_json
+from .world import read_json
 
 
 def _parse_point(flag: str, text: str) -> np.ndarray:
@@ -37,8 +37,8 @@ def cmd_plan(args) -> int:
         start, goal = fixture_endpoints(args.scene)
     else:
         raise ValueError("--start/--goal required for non-fixture scenes")
-    params = trial_params(args.scene, {} if args.params is None else read_json(args.params),
-                          (args.planner,))
+    params = trial_params(args.scene, scene,
+                          {} if args.params is None else read_json(args.params), (args.planner,))
     record, result, oracle = run_trial(args.planner, scene, start, goal, args.seed,
                                        params, args.max_samples, scene_label=args.scene)
     print(f"planner={record.planner} scene={record.scene} seed={record.seed} "
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FreeSpaceNotFound) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Config, Tree, dist, unit
 from .params import SprintParams
-from .world import CollisionOracle
+from .world import CollisionOracle, Scene
 
 
 class LocalStatus(enum.Enum):
@@ -269,6 +269,27 @@ def local_edge(node_id: int, tree: LocalTree, obs,
         step = (lam / n) * step
         q_c = q_x + step
     return q_c
+
+
+def check_edge_step(params: SprintParams, scene: Scene) -> None:
+    """Raise a ValueError naming the fields unless local_edge's step fits the
+    scene's floats: a step of length lam, whose largest coordinate is at
+    least lam / sqrt(d), moves any point of the scene's box; lam * lam, which
+    grad_g2 and grad_g3 divide by, is not 0; and the longest step an ascent
+    can form, jitter included, squares to a finite float (|grad_g2| <= 2,
+    |grad_g3| <= 5)."""
+    lam, d = params.lam, scene.dim
+    ulp = float(np.spacing(max(np.abs(scene.lower).max(), np.abs(scene.upper).max())))
+    if not lam / math.sqrt(d) > ulp:
+        raise ValueError(f"lam {lam!r} is below the resolution of the scene's coordinates, "
+                         f"whose spacing reaches {ulp!r}")
+    if lam * lam == 0.0:
+        raise ValueError(f"lam {lam!r} is too small: lam * lam underflows to 0")
+    longest = (lam * (1.0 + math.sqrt(d) / 100.0)
+               + params.eta_eff * (params.w1_l + 2.0 * params.w2_l + 5.0 * params.w3_l))
+    if longest * longest == math.inf:
+        raise ValueError("lam, eta, w1_l, w2_l and w3_l are too large: the square of the "
+                         "longest edge step they allow overflows")
 
 
 def local_search(root: Config, goal: Config, oracle: CollisionOracle,

@@ -16,12 +16,6 @@ import numpy as np
 
 from .geometry import Config
 
-SAMPLE_FREE_ATTEMPTS = 100_000  # draws sample_free tries before FreeSpaceNotFound
-
-
-class FreeSpaceNotFound(RuntimeError):
-    """Rejection sampling exhausted its attempt budget without a free point."""
-
 
 class BudgetExhausted(RuntimeError):
     """A budgeted query came after the oracle's sample budget was spent."""
@@ -147,14 +141,12 @@ class CollisionOracle:
         return True
 
     def sample_free(self, rng: np.random.Generator) -> Config:
-        """Uniform draw from free space by rejection; each attempt is a query.
-        `lo + span * random(d)` is `uniform(lo, hi)` bit for bit, but cheaper."""
+        """Uniform draw from free space by rejection; each attempt is a query, so the
+        budget alone stops it.  `lo + span * random(d)` is `uniform(lo, hi)` bit for bit."""
         lo, span = self.scene.lower, self.scene.upper - self.scene.lower
-        for _ in range(SAMPLE_FREE_ATTEMPTS):
-            q = lo + span * rng.random(lo.shape)
-            if self.query(q):
+        while True:
+            if self.query(q := lo + span * rng.random(lo.shape)):
                 return q
-        raise FreeSpaceNotFound(f"no free sample found in {SAMPLE_FREE_ATTEMPTS} attempts")
 
 
 def _obstacle_to_dict(obs: Obstacle) -> dict:

@@ -11,7 +11,7 @@ from sprint_planner.bench import (CSV_HEADER, SPRINT_VARIANTS, delta_useful_rati
                                   record_row, resolve_scene, run_grid, run_trial,
                                   write_csv)
 from sprint_planner.params import SprintParams
-from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
+from sprint_planner.scenes import FIXTURE_NAMES, fixture_endpoints, fixture_lam, fixture_scene
 from sprint_planner.world import save_scene, Scene
 
 from reference import delta_useful_ratio_all_pairs
@@ -240,7 +240,8 @@ class TestAblation:
     ])
     def test_random_params_checked_at_both_factor_ends(self, overrides, ok):
         def build(planners):
-            return bench.trial_params("empty_2d", overrides, planners)
+            return bench.trial_params("empty_2d", fixture_scene("empty_2d"), overrides,
+                                      planners)
 
         assert build(["sprint"]) == build(()) == SprintParams(
             **{**overrides, "lam": fixture_lam("empty_2d")})
@@ -249,6 +250,11 @@ class TestAblation:
         else:
             with pytest.raises(ValueError, match="^sprint:random-params at factor "):
                 build(["rrt", "sprint:random-params"])
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_fixture_takes_its_own_lam_on_every_planner(self, name):
+        assert bench.trial_params(name, fixture_scene(name), {}, bench.PLANNER_IDS) == \
+            SprintParams(lam=fixture_lam(name))
 
     def test_random_params_factor_ends_are_drawable(self):
         lo, hi = bench.RANDOM_FACTORS

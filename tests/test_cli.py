@@ -10,11 +10,10 @@ from sprint_planner.params import SprintParams
 from sprint_planner.scenes import fixture_endpoints, fixture_lam, fixture_scene
 
 # free space is the sliver [0, 1e-6]^2, so milestone rejection sampling
-# gives up before it draws a free point
+# spends any budget before it draws a free point
 NO_FREE_SPACE = {"name": "tiny", "lower": [0, 0], "upper": [1, 1], "obstacles": [
     {"type": "box", "min": [1e-6, -1], "max": [2, 2]},
     {"type": "box", "min": [-1, 1e-6], "max": [2, 2]}]}
-NO_FREE_SPACE_ERROR = "error: no free sample found in 100000 attempts\n"
 # a scene file, which carries geometry but no endpoints
 FIXTURE_FILE = str(Path(bench.__file__).parent / "data" / "empty_2d.json")
 # valid JSON nested deeper than the parser's recursion allows
@@ -153,16 +152,16 @@ class TestPlanCommand:
         assert captured.err == "error: q_init equals q_goal\n"
         assert "status=" not in captured.out
 
-    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
-        # the budget leaves room for all 100000 attempts of one milestone draw
+    def test_no_free_space_ends_at_the_budget(self, tmp_path, capsys):
+        # the first milestone draw spends the whole budget, however large
         scene = tmp_path / "tiny.json"
         scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
         rc = main(["plan", "--scene", str(scene), "--start", "0,0",
                    "--goal", "0.0000005,0", "--max-samples", "200000"])
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.err == NO_FREE_SPACE_ERROR
-        assert "status=" not in captured.out
+        assert rc == 0
+        assert captured.err == ""
+        assert "status=BudgetExhausted samples=200000 " in captured.out
 
     def test_no_free_space_within_a_smaller_budget_exhausts_it(self, tmp_path, capsys):
         scene = tmp_path / "tiny.json"
@@ -259,6 +258,14 @@ class TestPlanCommand:
         ({"c_base": 1e-200}, "c_base"),
         # 2 * lam, the delta-useful ratio's delta, overflows to inf
         ({"lam": 1e308}, "lam 1e+308 is too large"),
+        # the edge step does not fit the scene's floats: a lam-long step
+        # rounds away, or the step's square overflows
+        ({"lam": 1e-300}, "scene 'empty_2d': lam 1e-300 is below the resolution"),
+        ({"lam": 1e-160}, "lam 1e-160 is below the resolution"),
+        ({"eta": 1e308}, "eta"),
+        ({"w1_l": 1e308}, "w1_l"),
+        ({"w2_l": 1e308}, "w2_l"),
+        ({"w3_l": 1e308}, "w3_l"),
     ])
     def test_bad_params_file_is_a_one_line_error(self, tmp_path, capsys, params, needle):
         path = tmp_path / "params.json"
@@ -369,6 +376,18 @@ class TestBenchCommand:
         ({"planners": ["rrt"], "params": {"lam": 1e308}}, "lam 1e+308 is too large"),
         ({"planners": ["sprint:random-params"], "params": {"lam": 8e307}},
          "sprint:random-params at factor 1.25: lam"),
+        # the edge step does not fit the scene's floats, for every planner
+        ({"planners": ["rrt"], "params": {"lam": 1e-300}},
+         "scene 'empty_2d': lam 1e-300 is below the resolution"),
+        ({"scenes": ["narrow_passage_6d"], "params": {"lam": 1e-160}},
+         "scene 'narrow_passage_6d': lam 1e-160 is below the resolution"),
+        ({"scenes": ["narrow_passage_6d"], "params": {"eta": 1e308}}, "eta"),
+        ({"scenes": ["narrow_passage_6d"], "params": {"w1_l": 1e308}}, "w1_l"),
+        ({"scenes": ["narrow_passage_6d"], "params": {"w2_l": 1e308}}, "w2_l"),
+        ({"scenes": ["narrow_passage_6d"], "params": {"w3_l": 1e308}}, "w3_l"),
+        # lam / sqrt(2) clears the spacing of 1.0, 2.2e-16, but not at factor 0.75
+        ({"planners": ["sprint:random-params"], "params": {"lam": 4e-16}},
+         "scene 'empty_2d': sprint:random-params at factor 0.75: lam 3"),
     ])
     def test_bad_config_field_is_a_one_line_error(self, tmp_path, capsys, change, needle):
         cfg = tmp_path / "grid.json"
@@ -447,20 +466,23 @@ class TestBenchCommand:
         assert not (tmp_path / "out" / "results.csv").exists()
 
     @staticmethod
-    def no_free_space_grid(tmp_path, budget):
+    def no_free_space_grid(tmp_path, budget, planners=("sprint",)):
         scene = tmp_path / "tiny.json"
         scene.write_text(json.dumps(NO_FREE_SPACE), encoding="utf-8")
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({
-            "scenes": [str(scene)], "planners": ["sprint"], "seeds": [0],
+            "scenes": [str(scene)], "planners": list(planners), "seeds": [0],
             "max_samples": budget, "endpoints": {str(scene): [[0, 0], [0.0000005, 0]]},
         }), encoding="utf-8")
         return main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
-    def test_no_free_space_is_a_one_line_error(self, tmp_path, capsys):
-        # the budget leaves room for all 100000 attempts of one milestone draw
-        assert self.no_free_space_grid(tmp_path, 200_000) == 2
-        assert capsys.readouterr().err == NO_FREE_SPACE_ERROR
+    def test_no_free_space_writes_every_planners_row(self, tmp_path):
+        # sprint's milestone draw spends its whole budget; rrt's trial is
+        # its own, and its row is kept
+        assert self.no_free_space_grid(tmp_path, 200_000, ("sprint", "rrt")) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert [[r.split(",")[0], *r.split(",")[3:5]] for r in rows[1:3]] == [
+            ["rrt", "Solved", "4"], ["sprint", "BudgetExhausted", "200000"]]
 
     def test_no_free_space_within_a_smaller_budget_exhausts_it(self, tmp_path):
         assert self.no_free_space_grid(tmp_path, 1000) == 0

@@ -2,8 +2,10 @@
 config files, params objects and files, CLI points, CLI numbers and `sprint
 plan`'s scene, planner, endpoint and `--svg` strings.  Each loader either
 returns or raises ValueError (the CLI turns that into a one-line error); any
-other exception would reach the user as a traceback.  derandomize=True makes
-the examples a fixed function of the test, so a run is repeatable."""
+other exception would reach the user as a traceback.  Params that
+`trial_params` accepts must also give a trial that ends as every trial does,
+solved or at its budget.  derandomize=True makes the examples a fixed
+function of the test, so a run is repeatable."""
 
 import contextlib
 import io
@@ -19,11 +21,11 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sprint_planner.bench import PLANNER_IDS, load_grid_config
+from sprint_planner.bench import PLANNER_IDS, load_grid_config, run_trial, trial_params
 from sprint_planner.cli import _parse_point, main
 from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
 from sprint_planner.params import SprintParams, params_from_json
-from sprint_planner.scenes import FIXTURE_NAMES
+from sprint_planner.scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
 from sprint_planner.world import scene_from_dict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
@@ -130,6 +132,32 @@ def test_params_from_json(obj):
     tree = LocalTree(np.zeros(2), np.ones(2), p)
     backprop_collision(tree, 0, np.full(2, 0.5))
     assert collision_points(0, tree).shape == (1, 2)
+
+
+# up to three float fields, each at a power of ten the float range holds
+float_fields = st.sampled_from([f.name for f in fields(SprintParams) if f.type != "int"])
+float_params = st.dictionaries(float_fields, st.integers(-323, 308).map(lambda e: float(f"1e{e}")),
+                               max_size=3)
+
+
+@FUZZ
+@given(float_params, st.sampled_from(["empty_2d", "narrow_passage_6d"]),
+       st.sampled_from(["sprint", "sprint:random-params", "sprint:no-pr3", "rrt", "rrt-connect"]),
+       st.integers(0, 3))
+@example({"lam": 1e-300}, "empty_2d", "sprint", 0)
+@example({"lam": 1e-160}, "narrow_passage_6d", "sprint", 0)
+@example({"w3_l": 1e308}, "narrow_passage_6d", "sprint", 0)
+def test_accepted_params_end_a_trial_within_its_budget(overrides, name, planner, seed):
+    # params are refused before the trial, or the trial ends as every trial
+    # does: solved, or unsolved at its budget
+    scene = fixture_scene(name)
+    try:
+        params = trial_params(name, scene, overrides, (planner,))
+    except ValueError:
+        return
+    record, _, _ = run_trial(planner, scene, *fixture_endpoints(name), seed, params, 300)
+    assert record.status in ("Solved", "BudgetExhausted")
+    assert record.total_samples <= 300
 
 
 # comma-separated coordinates, often a free 2-D point, sometimes anything

@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from sprint_planner import world
 from sprint_planner.bench import run_trial
 from sprint_planner.params import SprintParams
 from sprint_planner.scenes import (FIXTURE_NAMES, fixture_endpoints, fixture_lam,
                                    fixture_scene)
-from sprint_planner.world import (BudgetExhausted, Box, CollisionOracle, FreeSpaceNotFound, Scene,
+from sprint_planner.world import (BudgetExhausted, Box, CollisionOracle, Scene,
                                   Sphere, load_scene, save_scene, scene_from_dict,
                                   scene_to_dict)
 
@@ -108,8 +107,7 @@ class TestOracle:
         assert calls == []
         assert o.sample_count == len(o.samples) == 3
 
-    def test_sample_free_stops_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(world, "SAMPLE_FREE_ATTEMPTS", 50)
+    def test_sample_free_stops_at_the_budget(self):
         o = CollisionOracle(unit_square([Box(np.zeros(2), np.ones(2))]), budget=10)
         with pytest.raises(BudgetExhausted):
             o.sample_free(np.random.default_rng(0))
@@ -128,14 +126,6 @@ class TestOracle:
         a = CollisionOracle(scene).sample_free(np.random.default_rng(42))
         b = CollisionOracle(scene).sample_free(np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
-
-    def test_sample_free_gives_up(self, monkeypatch):
-        # oracle cannot find free space when obstacles cover the whole world
-        monkeypatch.setattr(world, "SAMPLE_FREE_ATTEMPTS", 50)
-        o = CollisionOracle(unit_square([Box(np.zeros(2), np.ones(2))]))
-        with pytest.raises(FreeSpaceNotFound, match="in 50 attempts"):
-            o.sample_free(np.random.default_rng(0))
-        assert o.sample_count == 50
 
     def test_sample_log_only_when_enabled(self):
         scene = unit_square()
