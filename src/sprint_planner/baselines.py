@@ -92,16 +92,6 @@ class KdTree:
             yield q, self.nearest(q, next(answers, None))
 
 
-def _steer(q_from: Config, q_to: Config, step: float) -> Config | None:
-    diff = q_to - q_from
-    n = math.sqrt(diff.dot(diff))  # np.linalg.norm's own formula, minus its overhead
-    if n == 0.0:
-        return None
-    if n <= step:
-        return q_to
-    return q_from + step * (diff / n)
-
-
 class _Tree(Tree):
     """A Tree that also indexes its points for nearest-neighbor queries."""
 
@@ -113,6 +103,23 @@ class _Tree(Tree):
     def add(self, q: Config, parent: int) -> int:
         self.kd.insert(q)
         return super().add(q, parent)
+
+
+def _extend(tree: _Tree, i: int, q_to: Config, oracle: CollisionOracle,
+            step: float) -> int | None:
+    """EXTEND node i toward q_to: i itself when it stands on q_to (no
+    query), else the index of the point one step along the way, or of q_to
+    within one step, once the oracle finds it free; None when it does not."""
+    q = tree.points[i]
+    diff = q_to - q
+    n = math.sqrt(diff.dot(diff))  # np.linalg.norm's own formula, minus its overhead
+    # n also underflows to 0 for distinct points closer than about 1e-162;
+    # they are within one step
+    if n == 0.0 and not diff.any():
+        return i
+    if n > step:
+        q_to = q + step * (diff / n)
+    return tree.add(q_to, i) if oracle.query(q_to) else None
 
 
 def _rrt_targets(rng: np.random.Generator, n: int, lo: Config, hi: Config,
@@ -159,11 +166,8 @@ def rrt_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
         while True:
             targets, carry = _rrt_targets(rng, TARGET_BLOCK, lo, hi, q_goal, GOAL_BIAS, carry)
             for q_rand, ni in tree.kd.nearest_each(targets):
-                q_new = _steer(tree.points[ni], q_rand, step)
-                if q_new is None or not oracle.query(q_new):
-                    continue
-                i = tree.add(q_new, ni)
-                if dist(q_new, q_goal) <= step:
+                i = _extend(tree, ni, q_rand, oracle, step)
+                if i is not None and dist(tree.points[i], q_goal) <= step:
                     return tree.path_to(i, q_goal)
 
     return run_search(search, oracle, q_init, q_goal, (tree,))
@@ -188,25 +192,17 @@ def rrt_connect_plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
             for k in range(len(block)):
                 ta, tb = trees[k % 2], trees[1 - k % 2]
                 q_rand, ni = next(rows[k % 2])
-                q_new = _steer(ta.points[ni], q_rand, step)
-                if q_new is None and np.array_equal(ta.points[ni], q_rand):
-                    ia = ni
-                elif q_new is not None and oracle.query(q_new):
-                    ia = ta.add(q_new, ni)
-                else:
+                ia = _extend(ta, ni, q_rand, oracle, step)
+                if ia is None:
                     continue
+                # greedily connect the other tree toward the new node until
+                # a step fails or the connect stands on it
                 q_new = ta.points[ia]
-                # greedily connect the other tree toward the new node; _steer
-                # returns None once the connect stands on it
                 cur = tb.kd.nearest(q_new)
-                q_step = _steer(tb.points[cur], q_new, step)
-                while q_step is not None and oracle.query(q_step):
-                    cur = tb.add(q_step, cur)
-                    q_step = _steer(tb.points[cur], q_new, step)
-                if q_step is None:
-                    pa, pb = ta.path_to(ia), tb.path_to(cur)[::-1]
-                    if np.array_equal(pa[-1], pb[0]):
-                        pb = pb[1:]
-                    return (pa + pb)[::-1] if k % 2 else pa + pb
+                while (nxt := _extend(tb, cur, q_new, oracle, step)) not in (None, cur):
+                    cur = nxt
+                if nxt is not None:
+                    path = ta.path_to(ia) + tb.path_to(cur)[-2::-1]
+                    return path[::-1] if k % 2 else path
 
     return run_search(search, oracle, q_init, q_goal, trees)

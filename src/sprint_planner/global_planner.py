@@ -81,7 +81,9 @@ class SprintVariant:
 
 class _PairSelector:
     """The region scorer: ranks (global node, milestone) pairs by
-    w1 * g1 * w2 * (1 - peak).
+    g1 * (1 - peak).  The paper's weights w1_g and w2_g scale every score
+    alike, so they are left out: an extreme one could only overflow or
+    underflow the scores and tie pairs.
 
     g1 is the goal-progress term of each pair, kept as a nodes x milestones
     matrix that grows a row per node and a column block per milestone batch.
@@ -167,8 +169,7 @@ class _PairSelector:
     def scores(self) -> np.ndarray:
         """The nodes x milestones score matrix; -inf marks attempted pairs
         and reached milestones."""
-        p = self.params
-        out = (p.w1_g * self._g1) * (p.w2_g * (1.0 - self._peak))[None, :]
+        out = self._g1 * (1.0 - self._peak)[None, :]
         out[self._attempted | self._reached] = -np.inf
         return out
 

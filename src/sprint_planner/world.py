@@ -73,6 +73,11 @@ class Scene:
             raise ValueError("scene lower/upper dimension mismatch")
         if not np.all(self.lower < self.upper):
             raise ValueError("scene requires lower[i] < upper[i] for every i")
+        # SPRINT squares distances up to twice the box's diagonal (a pair's
+        # progress shortfall, a milestone's distance from a failed region)
+        reach = 2.0 * math.hypot(*(h - l for l, h in zip(self.lower.tolist(), self.upper.tolist())))
+        if reach * reach == math.inf:
+            raise ValueError("scene box is too large: the square of twice its diagonal overflows")
         for i, obs in enumerate(self.obstacles):
             if obs.dim != self.dim:
                 raise ValueError(f"obstacles[{i}]: dimension {obs.dim} != scene dimension {self.dim}")

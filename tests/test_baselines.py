@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sprint_planner import baselines
-from sprint_planner.baselines import KdTree, _rrt_targets, _steer, rrt_connect_plan, rrt_plan
+from sprint_planner.baselines import (KdTree, _extend, _rrt_targets, _Tree, rrt_connect_plan,
+                                      rrt_plan)
 from sprint_planner.global_planner import PlanStatus
 from sprint_planner.world import Box, CollisionOracle, Scene
 
@@ -263,28 +264,50 @@ class TestKdTreeQueue:
         np.testing.assert_array_equal(np.array(seen), np.array(expect))
 
 
-class TestSteer:
-    """_steer's three outcomes.  RRT-Connect's connect loop stops on the
-    first two: None at zero distance, the target object itself within one
-    step."""
+class TestExtend:
+    """_extend's outcomes.  RRT-Connect's connect loop stops on the first
+    and the fourth: i itself when node i stands on the target, None when the
+    oracle refuses the step."""
 
-    def test_zero_distance_is_none(self):
+    def test_standing_on_the_target_returns_i_without_a_query(self):
         q = np.array([0.3, 0.4])
-        assert _steer(q, q.copy(), 0.1) is None
+        tree, oracle = _Tree(q), empty_oracle()
+        assert _extend(tree, 0, q.copy(), oracle, 0.1) == 0
+        assert oracle.sample_count == 0 and len(tree.points) == len(tree.kd) == 1
 
     @pytest.mark.parametrize("offset", [0.0625, 0.125])
-    def test_target_within_one_step_is_returned_itself(self, offset):
+    def test_target_within_one_step_is_added_itself(self, offset):
         q_from, q_to = np.array([0.25, 0.5]), np.array([0.25 + offset, 0.5])
-        assert _steer(q_from, q_to, 0.125) is q_to
+        tree, oracle = _Tree(q_from), empty_oracle()
+        assert _extend(tree, 0, q_to, oracle, 0.125) == 1
+        assert tree.points[1] is q_to and tree.parents[1] == 0
+        assert oracle.sample_count == 1
 
-    def test_farther_target_gets_a_new_point_one_step_away(self):
+    def test_farther_target_adds_a_point_one_step_away(self):
         q_from, q_to = np.array([0.1, 0.2, 0.3]), np.array([0.9, -0.4, 0.5])
-        q = _steer(q_from, q_to, 0.1)
-        assert q is not q_to
+        tree, oracle = _Tree(q_from), empty_oracle(3)
+        assert _extend(tree, 0, q_to, oracle, 0.1) == 1
+        q = tree.points[1]
+        assert q is not q_to and oracle.sample_count == 1
         assert np.linalg.norm(q - q_from) == pytest.approx(0.1, rel=1e-12)
         # on the segment toward the target
         unit = (q_to - q_from) / np.linalg.norm(q_to - q_from)
         np.testing.assert_allclose(q, q_from + 0.1 * unit)
+
+    def test_failed_query_returns_none_and_leaves_the_tree(self):
+        # the step lands in the wall, x in [0.45, 0.55] below y = 0.7
+        tree, oracle = _Tree(np.array([0.4, 0.5])), wall_oracle()
+        assert _extend(tree, 0, np.array([0.9, 0.5]), oracle, 0.1) is None
+        assert oracle.sample_count == 1
+        assert len(tree.points) == len(tree.parents) == len(tree.kd) == 1
+
+    def test_distinct_points_whose_distance_underflows_add_the_target(self):
+        # (1e-170)**2 underflows to 0, so the distance reads 0 for two
+        # distinct points; they are within one step, not standing
+        q_from, q_to = np.array([1e-170, 0.5]), np.array([2e-170, 0.5])
+        tree, oracle = _Tree(q_from), empty_oracle()
+        assert _extend(tree, 0, q_to, oracle, 0.1) == 1
+        assert tree.points[1] is q_to and oracle.sample_count == 1
 
 
 def path_checks(res, start, goal, step):

@@ -101,6 +101,7 @@ class TestPlanCommand:
         ('{"name": "x", "lower": [0, 0], "upper": [1, 1], "obstacles": '
          '[{"type": "sphere", "center": [0.5, 0.5], "radius": "0.1"}]}', "field 'radius'"),
         ('{"name": ["x"], "lower": [0, 0], "upper": [1, 1]}', "field 'name'"),
+        ('{"name": "x", "lower": [0, 0], "upper": [1e160, 1e160]}', "scene box is too large"),
     ])
     def test_bad_scene_file_is_a_one_line_error(self, tmp_path, capsys, text, needle):
         scene = tmp_path / "scene.json"

@@ -2,16 +2,17 @@
 config files, params objects and files, CLI points, CLI numbers and `sprint
 plan`'s scene, planner, endpoint and `--svg` strings.  Each loader either
 returns or raises ValueError (the CLI turns that into a one-line error); any
-other exception would reach the user as a traceback.  Params that
-`trial_params` accepts must also give a trial that ends as every trial does,
-solved or at its budget.  derandomize=True makes the examples a fixed
-function of the test, so a run is repeatable."""
+other exception would reach the user as a traceback.  Params and scene
+boxes that `trial_params` and `Scene` accept must also give a trial that
+ends as every trial does, solved or at its budget.  derandomize=True makes
+the examples a fixed function of the test, so a run is repeatable."""
 
 import contextlib
 import io
 import json
 import os
 import re
+import signal
 import sys
 import tempfile
 from dataclasses import fields
@@ -26,7 +27,7 @@ from sprint_planner.cli import _parse_point, main
 from sprint_planner.local_planner import LocalTree, backprop_collision, collision_points
 from sprint_planner.params import SprintParams, params_from_json
 from sprint_planner.scenes import FIXTURE_NAMES, fixture_endpoints, fixture_scene
-from sprint_planner.world import scene_from_dict
+from sprint_planner.world import Scene, scene_from_dict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -156,6 +157,48 @@ def test_accepted_params_end_a_trial_within_its_budget(overrides, name, planner,
     except ValueError:
         return
     record, _, _ = run_trial(planner, scene, *fixture_endpoints(name), seed, params, 300)
+    assert record.status in ("Solved", "BudgetExhausted")
+    assert record.total_samples <= 300
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block after seconds, so a trial that never
+    ends fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"trial still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@settings(FUZZ, max_examples=1000)
+@given(st.integers(-300, 160), st.sampled_from([2, 3, 6]), st.none() | st.integers(-12, -1),
+       st.sampled_from(PLANNER_IDS), st.integers(0, 3))
+# distances underflow to 0 in the tiny box and overflow in the huge one
+@example(-300, 3, None, "rrt", 0)
+@example(-300, 3, None, "rrt-connect", 0)
+@example(160, 2, -10, "rrt", 0)
+@example(160, 2, -10, "sprint", 0)
+def test_trial_contract_over_scene_scales(k, d, j, planner, seed):
+    # the box [0, 10^k]^d, start and goal at 0.1 and 0.9 of it, and lam
+    # either the default or 10^(k + j): the scene or its params are refused
+    # before the trial, or the trial ends solved or at its budget
+    side = float(f"1e{k}")
+    overrides = {} if j is None else {"lam": float(f"1e{k + j}")}
+    try:
+        scene = Scene(name="scale", lower=np.zeros(d), upper=np.full(d, side))
+        params = trial_params("scale", scene, overrides, (planner,))
+    except ValueError:
+        return
+    start, goal = np.full(d, 0.1 * side), np.full(d, 0.9 * side)
+    with _alarm(10):
+        record, _, _ = run_trial(planner, scene, start, goal, seed, params, 300)
     assert record.status in ("Solved", "BudgetExhausted")
     assert record.total_samples <= 300
 

@@ -382,6 +382,8 @@ class TestSerialization:
         ({"name": "x", "lower": [0, 0], "upper": [1, 1],
           "obstacles": [{"type": "box", "min": [0, 0]}]},
          r"obstacles\[0\]: missing field 'max'"),
+        # the square of twice the diagonal, about 8e320, overflows
+        ({"name": "x", "lower": [0, 0], "upper": [1e160, 1e160]}, "scene box is too large"),
     ])
     def test_malformed_scene_names_the_field(self, data, needle):
         with pytest.raises(ValueError, match=needle):
