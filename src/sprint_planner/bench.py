@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, global_planner
 from .geometry import Config, unit
-from .global_planner import PlanResult, PlanStatus, SprintParams, SprintVariant
+from .global_planner import PlanResult, PlanStatus, SprintParams
 from .local_planner import check_edge_step
 from .params import params_from_json
 from .render import render_svg
@@ -106,28 +106,26 @@ def _random_params(params: SprintParams, rng: np.random.Generator, factor=None):
             if value is None:
                 value = getattr(params, f"{f.name}_eff")
             changes[f.name] = value * (factor or float(rng.uniform(*RANDOM_FACTORS)))
-    return replace(params, **changes), SprintVariant()
-
-
-def _coin_gate(params: SprintParams, rng: np.random.Generator):
-    """The culling gate as a fair coin drawn from the trial's generator."""
-    return params, SprintVariant(gate_fn=lambda node_id, tree: bool(rng.random() < 0.5))
+    return replace(params, **changes)
 
 
 def _random_edge(node_id, tree, obs, rng):
     return tree.points[node_id] + tree.params.lam * unit(rng.normal(size=tree.root.shape[0]))
 
 
-# planner id -> (params, trial rng) -> (params, SprintVariant), leaving the
-# given params unchanged.  What it builds may draw from that rng, which
-# run_trial also hands to the planner.
+# planner id -> (params, trial rng) -> (params, overrides): the params the
+# trial plans with, leaving the given ones unchanged, and the keyword
+# overrides run_trial passes to global_planner.plan.  What it builds may draw
+# from that rng, which run_trial also hands to the planner.
 SPRINT_VARIANTS = {
-    "sprint": lambda params, rng: (params, SprintVariant()),
-    "sprint:random-params": _random_params,
+    "sprint": lambda params, rng: (params, {}),
+    "sprint:random-params": lambda params, rng: (_random_params(params, rng), {}),
     "sprint:no-pr1": lambda params, rng: (
-        params, SprintVariant(select_fn=lambda selector: selector.select_random(rng))),
-    "sprint:no-pr2": _coin_gate,
-    "sprint:no-pr3": lambda params, rng: (params, SprintVariant(edge_fn=_random_edge)),
+        params, {"select_fn": lambda selector: selector.select_random(rng)}),
+    # the culling gate as a fair coin
+    "sprint:no-pr2": lambda params, rng: (
+        params, {"gate_fn": lambda node_id, tree: bool(rng.random() < 0.5)}),
+    "sprint:no-pr3": lambda params, rng: (params, {"edge_fn": _random_edge}),
 }
 
 PLANNER_IDS = (*SPRINT_VARIANTS, "rrt", "rrt-connect")
@@ -162,7 +160,7 @@ def trial_params(ident: str, scene: Scene, overrides, planners) -> SprintParams:
         for end in RANDOM_FACTORS:
             where = f"sprint:random-params at factor {end}: "
             try:
-                runs[where] = _random_params(params, None, end)[0]
+                runs[where] = _random_params(params, None, end)
             except ValueError as e:
                 raise ValueError(f"{where}{e}") from None
     for where, run in runs.items():
@@ -185,8 +183,8 @@ def run_trial(planner: str, scene: Scene, start: Config, goal: Config, seed: int
     oracle = CollisionOracle(scene, record_samples=True, budget=max_samples)
     rng = np.random.default_rng(seed)
     if planner in SPRINT_VARIANTS:
-        params, variant = SPRINT_VARIANTS[planner](params, rng)
-        result = global_planner.plan(start, goal, oracle, params, rng, variant=variant)
+        params, overrides = SPRINT_VARIANTS[planner](params, rng)
+        result = global_planner.plan(start, goal, oracle, params, rng, **overrides)
     else:
         fn = baselines.rrt_plan if planner == "rrt" else baselines.rrt_connect_plan
         result = fn(start, goal, oracle, params.lam, rng)

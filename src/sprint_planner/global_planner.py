@@ -16,7 +16,7 @@ from .params import SprintParams
 from .world import BudgetExhausted, CollisionOracle
 
 __all__ = [
-    "SprintParams", "PlanStatus", "PlanResult", "Tree", "SprintVariant",
+    "SprintParams", "PlanStatus", "PlanResult", "Tree",
     "check_endpoints", "run_search", "plan", "add_milestones",
 ]
 
@@ -66,24 +66,12 @@ def run_search(search: Callable[[], list[Config]], oracle: CollisionOracle,
     return PlanResult(PlanStatus.SOLVED, path, total, wall, polyline_length(path), trees)
 
 
-@dataclass(frozen=True)
-class SprintVariant:
-    """Heuristic overrides for ablation runs, each a function with the
-    signature of the default it replaces; None keeps the default.
-    select_fn(selector) stands in for _PairSelector.select_best,
-    gate_fn(node_id, tree) for local_planner.valid_node and
-    edge_fn(node_id, tree, obs, rng) for local_planner.local_edge."""
-
-    select_fn: Callable | None = None
-    gate_fn: Callable | None = None
-    edge_fn: Callable | None = None
-
-
 class _PairSelector:
     """The region scorer: ranks (global node, milestone) pairs by
     g1 * (1 - peak).  The paper's weights w1_g and w2_g scale every score
     alike, so they are left out: an extreme one could only overflow or
-    underflow the scores and tie pairs.
+    underflow the scores and tie pairs.  Node 0 is q_init and milestone 0
+    is q_goal, so a pair (ni, 0) is a region ending at the goal.
 
     g1 is the goal-progress term of each pair, kept as a nodes x milestones
     matrix that grows a row per node and a column block per milestone batch.
@@ -92,9 +80,8 @@ class _PairSelector:
     attempted pairs and reached milestones.
     """
 
-    def __init__(self, q_init: Config, q_goal: Config, params: SprintParams):
+    def __init__(self, q_init: Config, q_goal: Config):
         self.q_goal = q_goal
-        self.params = params
         c = dist(q_init, q_goal)
         self.c = c if c != 0.0 else 1.0
         dim = q_init.shape[0]
@@ -108,6 +95,7 @@ class _PairSelector:
         self._reached = np.zeros(0, dtype=bool)
         self._regions: list[tuple[Config, Config, float]] = []
         self.add_node(q_init)
+        self.add_milestones([q_goal])
 
     def _progress(self, nodes, d_n_goal, miles, d_m_goal) -> np.ndarray:
         """g1 for every (node, milestone) pair: the shortfall of the region's
@@ -202,43 +190,46 @@ def add_milestones(oracle: CollisionOracle, params: SprintParams,
 
 
 def plan(q_init: Config, q_goal: Config, oracle: CollisionOracle,
-         params: SprintParams, rng: np.random.Generator,
-         variant: SprintVariant = SprintVariant()) -> PlanResult:
+         params: SprintParams, rng: np.random.Generator, *,
+         select_fn: Callable | None = None, gate_fn: Callable | None = None,
+         edge_fn: Callable | None = None) -> PlanResult:
     """Full SPRINT run from q_init to q_goal, until the oracle refuses a query.
 
     The tree holds every vertex of every local path that reached its
     milestone, each hanging off the vertex before it; global node n (the
     selector's row n) is tree node at[n].  The selector alone keeps the
-    milestones, the goal first.  The default selection is looked up here, not
-    bound at import, so that a patched select_best sees every call."""
-    select = variant.select_fn or _PairSelector.select_best
+    milestones, the goal first; a batch is drawn whenever no pair is left.
+
+    The ablation overrides each replace a default with a function of its
+    signature, and None keeps it: select_fn(selector) -> (ni, mi) | None for
+    _PairSelector.select_best, gate_fn(node_id, tree) -> bool for
+    local_planner.valid_node, edge_fn(node_id, tree, obs, rng) -> config for
+    local_planner.local_edge.  Each default is looked up at call time, not
+    bound at import, so that a patched one sees every call."""
+    select = select_fn or _PairSelector.select_best
     tree = Tree(q_init)
 
     def search() -> list[Config]:
         at = [0]
-        selector = _PairSelector(q_init, q_goal, params)
-        selector.add_milestones([q_goal])
-        selector.add_milestones(add_milestones(oracle, params, rng))
+        selector = _PairSelector(q_init, q_goal)
         while True:
-            pick = select(selector)
-            if pick is None:
-                selector.add_milestones(add_milestones(oracle, params, rng))
-                continue
-            ni, mi = pick
-            selector.mark_attempted(ni, mi)
-            q_n, q_m = tree.points[at[ni]], selector._miles[mi]
-            res = local_search(q_n, q_m, oracle, params, rng,
-                               gate_fn=variant.gate_fn, edge_fn=variant.edge_fn)
-            if res.status is LocalStatus.REACHED:
-                node = at[ni]
-                for q in res.path[1:]:
-                    node = tree.add(q, node)
-                if mi == 0:
-                    return tree.path_to(node)
-                at.append(node)
-                selector.add_node(q_m)
-                selector.mark_reached(mi)
-            else:
-                selector.add_region(q_n, q_m)
+            selector.add_milestones(add_milestones(oracle, params, rng))
+            while (pick := select(selector)) is not None:
+                ni, mi = pick
+                selector.mark_attempted(ni, mi)
+                q_n, q_m = tree.points[at[ni]], selector._miles[mi]
+                res = local_search(q_n, q_m, oracle, params, rng,
+                                   gate_fn=gate_fn, edge_fn=edge_fn)
+                if res.status is LocalStatus.REACHED:
+                    node = at[ni]
+                    for q in res.path[1:]:
+                        node = tree.add(q, node)
+                    if mi == 0:
+                        return tree.path_to(node)
+                    at.append(node)
+                    selector.add_node(q_m)
+                    selector.mark_reached(mi)
+                else:
+                    selector.add_region(q_n, q_m)
 
     return run_search(search, oracle, q_init, q_goal, (tree,))

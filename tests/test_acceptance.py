@@ -17,7 +17,7 @@ import pytest
 from sprint_planner.baselines import KdTree
 from sprint_planner.bench import run_trial, record_row
 from sprint_planner.geometry import dist
-from sprint_planner.global_planner import PlanStatus, SprintParams, _PairSelector, plan
+from sprint_planner.global_planner import PlanStatus, SprintParams, plan
 from sprint_planner.local_planner import (LocalTree, grad_g2, grad_g3,
                                           promote_checkpoint, subtree_sigma,
                                           valid_node)
@@ -242,18 +242,23 @@ class TestCriterion7HeuristicMath:
         rec.samples_since_exploit = rec.samples_since_explore = int(cutoff) + 1
         checks.append(not valid_node(0, tree))
 
-        # region-selection argmax is invariant under positive weight scaling
-        goal = np.array([0.9, 0.5])
+        # region selection is invariant under positive weight scaling.  Each
+        # box_maze_10d run records one failed region, so its scores carry a
+        # peak term; the narrow_passage_2d run records two, and a scorer
+        # that weighs g1 against the peak term (a weighted sum, or weights as
+        # exponents) changes its picks
+        def run(name, lam, seed, **weights):
+            oracle = CollisionOracle(fixture_scene(name), budget=BUDGET)
+            res = plan(*fixture_endpoints(name), oracle, SprintParams(lam=lam, **weights),
+                       np.random.default_rng(seed))
+            return res.status, res.total_samples, None if res.path is None else res.path.tobytes()
 
-        def best_pair(params):
-            sel = _PairSelector(np.array([0.1, 0.5]), goal, params)
-            sel.add_milestones([[0.9, 0.5], [0.5, 0.9], [0.4, 0.2]])
-            sel.add_region(np.array([0.1, 0.5]), np.array([0.5, 0.6]))
-            return sel.select_best()
-
-        base = best_pair(SprintParams(lam=lam))
-        for w1, w2 in ((10.0, 1.0), (0.01, 5.0), (3.3, 777.0)):
-            checks.append(best_pair(SprintParams(lam=lam, w1_g=w1, w2_g=w2)) == base)
+        for case in (("box_maze_10d", lam, 5), ("box_maze_10d", lam, 9),
+                     ("narrow_passage_2d", 0.05, 15)):
+            base = run(*case)
+            checks.append(base[0] is PlanStatus.SOLVED)
+            for w1, w2 in ((10.0, 1.0), (0.01, 5.0), (3.3, 777.0)):
+                checks.append(run(*case, w1_g=w1, w2_g=w2) == base)
 
         elapsed = time.perf_counter() - t0
         ok = all(checks) and elapsed < 1.0

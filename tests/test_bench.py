@@ -1,12 +1,13 @@
 import csv
+import inspect
 import json
 import math
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sprint_planner import bench
+from sprint_planner import bench, global_planner
 from sprint_planner.bench import (CSV_HEADER, SPRINT_VARIANTS, delta_useful_ratio,
                                   record_row, resolve_scene, run_grid, run_trial,
                                   write_csv)
@@ -205,17 +206,19 @@ class TestDeltaUsefulMatchesAllPairs:
 class TestAblation:
     def test_default_mode_keeps_params(self):
         p = SprintParams(lam=0.01)
-        q, variant = SPRINT_VARIANTS["sprint"](p, np.random.default_rng(0))
+        q, overrides = SPRINT_VARIANTS["sprint"](p, np.random.default_rng(0))
         assert q is p
-        assert astuple(variant) == (None, None, None)
+        assert overrides == {}
 
     @pytest.mark.parametrize("planner", sorted(SPRINT_VARIANTS))
     def test_every_override_is_a_function_or_none(self, planner):
-        _, variant = SPRINT_VARIANTS[planner](SprintParams(), np.random.default_rng(0))
-        for f in fields(variant):
-            assert f.name.endswith("_fn")
-            value = getattr(variant, f.name)
-            assert value is None or callable(value)
+        """Each override key is a keyword of plan whose default, None, keeps
+        the default it stands for; its value is a function."""
+        _, overrides = SPRINT_VARIANTS[planner](SprintParams(), np.random.default_rng(0))
+        keywords = inspect.signature(global_planner.plan).parameters
+        for key, value in overrides.items():
+            assert key in keywords and keywords[key].default is None
+            assert callable(value)
 
     def test_random_params_stays_within_quarter(self):
         p = SprintParams(lam=0.01)
@@ -265,35 +268,31 @@ class TestAblation:
     def test_heuristic_swaps_per_mode(self):
         p = SprintParams(lam=0.01)
         rng = np.random.default_rng(0)
-        _, v1 = SPRINT_VARIANTS["sprint:no-pr1"](p, rng)
-        assert v1.select_fn is not None
-        _, v2 = SPRINT_VARIANTS["sprint:no-pr2"](p, rng)
-        assert v2.gate_fn is not None
-        _, v3 = SPRINT_VARIANTS["sprint:no-pr3"](p, rng)
-        assert v3.edge_fn is not None
+        for mode, key in (("no-pr1", "select_fn"), ("no-pr2", "gate_fn"), ("no-pr3", "edge_fn")):
+            assert list(SPRINT_VARIANTS[f"sprint:{mode}"](p, rng)[1]) == [key]
 
     def test_random_selection_draws_from_the_ablation_generator(self):
         # as the coin gate below: the uniform pick keeps its place in the
         # trial's draw sequence
         from sprint_planner.global_planner import _PairSelector
         _, v = SPRINT_VARIANTS["sprint:no-pr1"](SprintParams(), np.random.default_rng(3))
-        sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]), SprintParams())
+        sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
         sel.add_milestones(np.random.default_rng(0).uniform(0, 1, (5, 2)))
         twin = np.random.default_rng(3)
-        assert ([v.select_fn(sel) for _ in range(32)]
+        assert ([v["select_fn"](sel) for _ in range(32)]
                 == [sel.select_random(twin) for _ in range(32)])
 
     def test_coin_gate_is_fair_coin(self):
         _, v = SPRINT_VARIANTS["sprint:no-pr2"](SprintParams(), np.random.default_rng(3))
-        accepts = sum(v.gate_fn(0, None) for _ in range(4000))
+        accepts = sum(v["gate_fn"](0, None) for _ in range(4000))
         assert 1800 < accepts < 2200
 
     def test_coin_gate_draws_from_the_ablation_generator(self):
-        # run_trial hands the planner the generator its variant received,
+        # run_trial hands the planner the generator its overrides received,
         # so the coin flips keep their place in the trial's draw sequence
         _, v = SPRINT_VARIANTS["sprint:no-pr2"](SprintParams(), np.random.default_rng(3))
         twin = np.random.default_rng(3)
-        assert ([v.gate_fn(0, None) for _ in range(64)]
+        assert ([v["gate_fn"](0, None) for _ in range(64)]
                 == [bool(twin.random() < 0.5) for _ in range(64)])
 
     def test_random_edge_has_unit_scaled_length(self):
@@ -303,7 +302,7 @@ class TestAblation:
         t = LocalTree(np.array([0.2, 0.2]), np.array([0.8, 0.8]), p)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            q = v.edge_fn(0, t, [], rng)
+            q = v["edge_fn"](0, t, [], rng)
             assert np.linalg.norm(q - t.root) == pytest.approx(p.lam, abs=1e-12)
 
 

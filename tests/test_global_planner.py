@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sprint_planner.geometry import dist
-from sprint_planner.global_planner import (PlanStatus, SprintParams, SprintVariant,
-                                           Tree, _PairSelector, add_milestones, plan)
+from sprint_planner.global_planner import (PlanStatus, SprintParams, Tree, _PairSelector,
+                                           add_milestones, plan)
 from sprint_planner.world import Box, CollisionOracle, Scene
 
 from reference import (Region, RegionState, candidate_pairs, pair_scores, select_pair,
@@ -86,8 +86,7 @@ class TestPairSelectorEquivalence:
             q_init = rng.uniform(0, 1, 2)
             q_goal = rng.uniform(0, 1, 2)
             tree = RegionState(nodes=[q_init], milestones=[q_goal])
-            sel = _PairSelector(q_init, q_goal, p)
-            sel.add_milestones([q_goal])
+            sel = _PairSelector(q_init, q_goal)
             for _ in range(40):
                 r = rng.random()
                 if r < 0.25:
@@ -125,14 +124,35 @@ class TestPairSelectorEquivalence:
 
     def test_random_selection_only_offers_candidates(self):
         rng = np.random.default_rng(3)
-        p = params()
-        sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]), p)
+        sel = _PairSelector(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
         sel.add_milestones(rng.uniform(0, 1, (5, 2)))
         sel.mark_attempted(0, 2)
         sel.mark_reached(1)
         seen = {sel.select_random(rng) for _ in range(200)}
         assert (0, 2) not in seen
         assert all(mi != 1 for _, mi in seen)
+
+    def test_goal_is_milestone_zero(self):
+        q_init, q_goal = np.array([0.1, 0.1]), np.array([0.9, 0.9])
+        sel = _PairSelector(q_init, q_goal)
+        np.testing.assert_array_equal(sel._miles, [q_goal])
+        assert sel.select_best() == (0, 0)
+
+    def test_zero_scores_are_still_offered(self):
+        """Pairs whose milestone lies on a failed region's far end score
+        exactly 0 and stay candidates; the tie goes to the milestone
+        closest to the goal, the goal itself.  Every coordinate is dyadic,
+        so both peaks come out exactly 1.0."""
+        start, goal, mile = np.array([0.25, 0.5]), np.array([0.75, 0.5]), np.array([0.5, 0.75])
+        sel = _PairSelector(start, goal)
+        sel.add_milestones([mile])
+        for mi, q_m in enumerate((goal, mile)):
+            sel.mark_attempted(0, mi)
+            sel.add_region(start, q_m)
+        np.testing.assert_array_equal(sel._peak, [1.0, 1.0])
+        sel.add_node(np.array([0.5, 0.25]))
+        np.testing.assert_array_equal(sel.scores()[1], [0.0, 0.0])
+        assert sel.select_best() == (1, 0)
 
     @pytest.mark.parametrize("dim", [2, 6, 10])
     def test_scores_do_not_depend_on_arrival_order(self, dim):
@@ -148,10 +168,9 @@ class TestPairSelectorEquivalence:
             batches = [rng.uniform(0, 1, (p.milestone_batch, dim)) for _ in range(3)]
             regions = [(rng.uniform(0, 1, dim), rng.uniform(0, 1, dim))
                        for _ in range(46)]
-            before = _PairSelector(q_init, q_goal, p)
-            after = _PairSelector(q_init, q_goal, p)
+            before = _PairSelector(q_init, q_goal)
+            after = _PairSelector(q_init, q_goal)
             for sel in (before, after):
-                sel.add_milestones([q_goal])
                 for q in nodes:
                     sel.add_node(q)
             for a, b in regions:
@@ -315,6 +334,5 @@ class TestPlan:
         oracle = CollisionOracle(empty_scene())
         rng = np.random.default_rng(0)
         res = plan(np.array([0.1, 0.1]), np.array([0.9, 0.9]), oracle,
-                   params(lam=0.05), rng,
-                   variant=SprintVariant(select_fn=lambda sel: sel.select_random(rng)))
+                   params(lam=0.05), rng, select_fn=lambda sel: sel.select_random(rng))
         assert res.status is PlanStatus.SOLVED

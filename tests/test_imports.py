@@ -1,8 +1,9 @@
 """Every name a library module, test file or tool imports is used in that
-file or listed in its `__all__`; and importing the library costs numpy
-only: scipy is loaded by the first `KdTree` built or delta-useful ratio,
-inside the function that needs it, never by a module import, and no
-baseline trial's wall time is charged for it."""
+file or listed in its `__all__`, and every name in a library module's
+`__all__` is bound there; and importing the library costs numpy only:
+scipy is loaded by the first `KdTree` built or delta-useful ratio, inside
+the function that needs it, never by a module import, and no baseline
+trial's wall time is charged for it."""
 
 import ast
 import json
@@ -49,6 +50,36 @@ def test_finds_unused_imports():
     source = ("from __future__ import annotations\nimport os\nimport os.path\n"
               "import numpy as np\nfrom a import b, c as d\n__all__ = ['b']\nprint(np, d)\n")
     assert unused_imports(source) == ["os"]
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in a module's `__all__` that nothing at its top level binds:
+    no import, def, class or assignment."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_unbound_exports():
+    source = ("import os.path\nfrom a import b as c\nx: int = 1\ny, z = 2, 3\n"
+              "def f(): pass\nclass K: pass\n"
+              "__all__ = ['os', 'c', 'x', 'y', 'z', 'f', 'K', 'Gone', 'b']\n")
+    assert unbound_exports(source) == ["Gone", "b"]
 
 
 def module_level_imports(source: str) -> list[str]:
